@@ -9,9 +9,9 @@ The same generator can execute on two very different substrates:
   :class:`~repro.machine.scheduler.Scheduler`, pricing every operation with
   the paper's ``t_startup + m·t_comm`` cost model;
 * the **process** backend (:class:`~repro.backend.process.ProcessBackend`)
-  runs one OS process per rank, carries payloads over real
-  ``multiprocessing`` queues, and measures wall-clock time with
-  ``time.perf_counter``.
+  runs one OS process per rank, carries payloads over pipes and shared
+  memory (:mod:`repro.backend.transport`), and measures wall-clock time
+  with ``time.perf_counter``.
 
 Because both backends interpret the *same* yielded operations and the same
 NumPy arithmetic executes in program order, a fault-free solve produces
@@ -200,12 +200,13 @@ class BackendRun:
     ``elapsed`` is simulated parallel time (max rank clock) or measured
     wall-clock time (max over ranks, barrier-aligned start), in seconds.
 
-    ``timings`` decomposes ``elapsed``: keys ``"total"``, ``"compute"``
-    and ``"comm"`` (sums over ranks divided by nprocs, i.e. averages).
+    ``timings`` decomposes ``elapsed``: keys ``"total"``, ``"compute"``,
+    ``"comm"`` and, on real processes, ``"send"`` (sums over ranks
+    divided by nprocs, i.e. averages).
 
     ``per_rank`` holds one dict per rank with the raw counters
     (``wall``, ``compute_time``, ``comm_time``, ``messages``, ``words``,
-    ``flops``).
+    ``flops``; on real processes also ``send_time``).
 
     ``recovery`` is filled by the fault-tolerant driver
     (:func:`repro.backend.solve.run_with_recovery`): counters such as

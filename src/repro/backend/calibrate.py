@@ -31,7 +31,7 @@ import numpy as np
 
 from ..machine.costmodel import CostModel
 from .process import ProcessBackend
-from .programs import PingPongProgram
+from .programs import PING_PONG_SIZES, PingPongProgram
 
 __all__ = ["Calibration", "measure_t_flop", "measure_message_costs",
            "calibrate_host", "fit_message_model"]
@@ -132,7 +132,7 @@ def fit_message_model(
 
 
 def measure_message_costs(
-    sizes: Sequence[int] = (1, 64, 256, 1024, 4096, 16384),
+    sizes: Sequence[int] = PING_PONG_SIZES,
     repeats: int = 7,
     backend: Optional[ProcessBackend] = None,
 ) -> List[Tuple[int, float]]:
@@ -144,7 +144,7 @@ def measure_message_costs(
 
 
 def calibrate_host(
-    sizes: Sequence[int] = (1, 64, 256, 1024, 4096, 16384),
+    sizes: Sequence[int] = PING_PONG_SIZES,
     repeats: int = 7,
     flop_n: int = 1_000_000,
     backend: Optional[ProcessBackend] = None,

@@ -2,16 +2,18 @@
 
 Runs the *same* generator rank programs the discrete-event simulator runs
 (:mod:`repro.machine.events` protocol), but for real: each rank is a
-``multiprocessing`` process, ``Send``/``Recv`` payloads travel over
-per-rank inbox queues (OS pipes), ``Barrier`` is a real barrier, and
-every segment is timed with ``time.perf_counter``.  ``Compute`` yields
+``multiprocessing`` process, ``Send``/``Recv`` payloads travel over the
+shared-memory transport of :mod:`repro.backend.transport` (pickled by the
+sending thread, bulk arrays through a ring, frames through a pipe),
+``Barrier`` is a real barrier, and every segment is timed with
+``time.perf_counter``.  ``Compute`` yields
 cost nothing here -- the actual NumPy work inside the program body *is*
 the computation -- but their declared flop counts are still accumulated,
 so the measured run reports the same flop accounting as the simulated
 one.
 
-Measured per-rank counters (wall time, time blocked in receives and
-barriers, messages, words, declared flops) are mirrored into a
+Measured per-rank counters (wall time, time in sends, time blocked in
+receives and barriers, messages, words, declared flops) are mirrored into a
 :class:`~repro.machine.stats.MachineStats` of the exact shape the
 simulator produces, which is what makes the modelled-vs-measured
 cross-validation of :mod:`repro.backend.validate` a one-liner.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import signal
 import time
@@ -64,6 +67,7 @@ from .base import (
     WorkerCrashedError,
     WorkerFailedError,
 )
+from .transport import Fabric
 
 __all__ = [
     "ProcessBackend",
@@ -207,14 +211,15 @@ def _match_store(
     return (src, payload)
 
 
-def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
+def _drive(rank, size, program, mailbox, result_q, barrier, timeout, trace,
            hb_interval=DEFAULT_HEARTBEAT_INTERVAL):
     """Run one rank's generator to completion; returns (result, report)."""
     gen = program(rank, size)
-    inbox = inboxes[rank]
+    job = mailbox.job_id  # scopes every report, like every frame
     store: Dict[int, Deque[Tuple[int, Any]]] = {}
     segments: List[Tuple[str, float, float, str]] = []
     compute_time = 0.0
+    send_time = 0.0
     recv_wait = 0.0
     barrier_wait = 0.0
     flops = 0.0
@@ -224,7 +229,7 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
     words_recv = 0.0
 
     barrier.wait(timeout)  # align the measured start across ranks
-    result_q.put(("hb", rank, time.monotonic()))  # liveness: run entered
+    result_q.put((job, "hb", rank, time.monotonic()))  # liveness: run entered
     last_hb = time.monotonic()
     start = time.perf_counter()
     hard_deadline = None if timeout is None else start + timeout
@@ -235,7 +240,7 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
         nonlocal last_hb
         now = time.monotonic()
         if now - last_hb >= hb_interval:
-            result_q.put(("hb", rank, now))
+            result_q.put((job, "hb", rank, now))
             last_hb = now
 
     def _remaining(op_deadline: Optional[float]) -> Optional[float]:
@@ -247,8 +252,11 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
 
     value: Any = None
     throw: Optional[BaseException] = None
+    # every clock reading closes one segment and opens the next, so that
+    # compute + send + receive/barrier wait add up to the rank's wall time
+    t_done = start
     while True:
-        t0 = time.perf_counter()
+        t0 = t_done
         try:
             if throw is not None:
                 exc, throw = throw, None
@@ -266,6 +274,7 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
         compute_time += t1 - t0
         if trace:
             segments.append(("compute", t0, t1, ""))
+        t_done = t1
         _heartbeat()
         value = None
         if isinstance(op, Compute):
@@ -273,7 +282,12 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
         elif isinstance(op, Send):
             if not 0 <= op.dest < size:
                 raise ValueError(f"rank {rank} sent to invalid rank {op.dest}")
-            inboxes[op.dest].put((rank, op.tag, op.payload))
+            # pickled by this thread: a bad payload raises here, as our error
+            mailbox.send(op.dest, op.tag, op.payload)
+            t_done = time.perf_counter()
+            send_time += t_done - t1
+            if trace:
+                segments.append(("send", t1, t_done, f"-> {op.dest}"))
             msgs_sent += 1
             words_sent += op.words()
         elif isinstance(op, Recv):
@@ -282,8 +296,7 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
                     f"rank {rank} posted a receive from invalid rank "
                     f"{op.source} (nprocs={size})"
                 )
-            t_wait = time.perf_counter()
-            op_deadline = None if op.timeout is None else t_wait + op.timeout
+            op_deadline = None if op.timeout is None else t1 + op.timeout
             matched = _match_store(store, op.source, op.tag)
             while matched is None:
                 _heartbeat()  # a rank blocked in a receive is alive
@@ -311,27 +324,26 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
                 poll = hb_interval if remaining is None else min(
                     remaining, hb_interval
                 )
-                try:
-                    src, tag, payload = inbox.get(timeout=max(poll, 1e-3))
-                except queue_mod.Empty:
+                got = mailbox.recv(max(poll, 1e-3))
+                if got is None:
                     continue
+                src, tag, payload = got
                 store.setdefault(tag, deque()).append((src, payload))
                 matched = _match_store(store, op.source, op.tag)
             t_done = time.perf_counter()
-            recv_wait += t_done - t_wait
+            recv_wait += t_done - t1
             if matched is not None:
                 src, payload = matched
                 value = payload
                 msgs_recv += 1
                 words_recv += payload_words(payload)
                 if trace:
-                    segments.append(("p2p", t_wait, t_done, f"<- {src}"))
+                    segments.append(("p2p", t1, t_done, f"<- {src}"))
         elif isinstance(op, Checkpoint):
             # ship the snapshot to the supervising parent (stable storage);
             # the put doubles as a heartbeat for crash diagnostics
-            result_q.put(("ckpt", rank, (op.iteration, op.payload)))
+            result_q.put((job, "ckpt", rank, (op.iteration, op.payload)))
         elif isinstance(op, Barrier):
-            t_wait = time.perf_counter()
             remaining = _remaining(None)
             try:
                 barrier.wait(remaining)
@@ -341,18 +353,22 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
                     f"({type(exc).__name__})"
                 ) from exc
             t_done = time.perf_counter()
-            barrier_wait += t_done - t_wait
+            barrier_wait += t_done - t1
             if trace:
-                segments.append(("barrier", t_wait, t_done, op.label))
+                segments.append(("barrier", t1, t_done, op.label))
         else:
             raise TypeError(f"rank {rank} yielded a non-Op value: {op!r}")
 
+    # bytes a full pipe refused must be out before the drain barrier
+    mailbox.drain(_remaining(None))
     end = time.perf_counter()
+    send_time += end - t_end
     report = {
         "start": start,
         "end": end,
         "wall": end - start,
         "compute_time": compute_time,
+        "send_time": send_time,
         "recv_wait": recv_wait,
         "barrier_wait": barrier_wait,
         "comm_time": recv_wait + barrier_wait,
@@ -366,25 +382,28 @@ def _drive(rank, size, program, inboxes, result_q, barrier, timeout, trace,
     return result, report
 
 
-def _worker_main(rank, size, program, inboxes, result_q, barrier, timeout,
-                 trace, hb_interval=DEFAULT_HEARTBEAT_INTERVAL):
-    """Process entry point: run the rank, ship (result, report) or the error."""
+def _run_rank(rank, size, program, mailbox, result_q, barrier, timeout,
+              trace, hb_interval):
+    """Drive one job on this rank and report it; False if the barrier broke.
+
+    The job body of the one-shot worker and of the warm pool's workers.
+    """
+    job = mailbox.job_id
+    intact = True
     try:
-        outcome = ("ok", rank, _drive(rank, size, program, inboxes, result_q,
+        outcome = ("ok", rank, _drive(rank, size, program, mailbox, result_q,
                                       barrier, timeout, trace, hb_interval))
         # tell the parent this rank is merely draining, not stuck: a rank
         # waiting at the drain barrier stops heartbeating, and without this
         # marker the straggler detector could mistake it for the slow one
-        result_q.put(("done", rank, time.monotonic()))
-        # Drain barrier: a finished rank may still have sends sitting in its
-        # queues' feeder-thread buffers, and the cancel_join_thread() below
-        # would discard them on exit.  Nobody leaves until every rank has
-        # completed all its receives (the feeders keep flushing while we
-        # wait), so cancelling can never lose an undelivered message.
+        result_q.put((job, "done", rank, time.monotonic()))
+        # Drain barrier: a message a peer has not read yet sits in a pipe
+        # and a ring that die with their last holder (or belong to the next
+        # job).  Nobody leaves until every rank completed its receives.
         try:
             barrier.wait(timeout)
         except Exception:
-            pass  # a peer failed or timed out; the run is failing anyway
+            intact = False  # a peer failed or timed out; the run is failing
     except BaseException as exc:  # noqa: BLE001 - must report, not die silently
         try:
             barrier.abort()  # release peers blocked at the drain barrier
@@ -392,15 +411,16 @@ def _worker_main(rank, size, program, inboxes, result_q, barrier, timeout,
             pass
         outcome = ("err", rank, f"{type(exc).__name__}: {exc}\n"
                                 f"{traceback.format_exc()}")
-    try:
-        result_q.put(outcome)
-        result_q.close()
-        result_q.join_thread()  # flush the result before tearing down
-    finally:
-        # stray messages to ranks that already exited must not block our
-        # feeder threads at interpreter shutdown
-        for q in inboxes:
-            q.cancel_join_thread()
+        intact = False
+    result_q.put((job,) + outcome)
+    return intact
+
+
+def _worker_main(rank, size, program, fabric, result_q, *args):
+    """Process entry point: run the rank, ship (result, report) or the error."""
+    _run_rank(rank, size, program, fabric.endpoint(rank), result_q, *args)
+    result_q.close()
+    result_q.join_thread()  # flush the result before tearing down
 
 
 # ---------------------------------------------------------------------- #
@@ -555,117 +575,147 @@ class ProcessBackend(ExecutionBackend):
                 raise BackendError(f"crash injection unavailable: {why}")
         ctx = mp.get_context(detail)
 
-        inboxes = [ctx.Queue() for _ in range(nprocs)]
+        fabric = Fabric(ctx, nprocs)
         result_q = ctx.Queue()
         barrier = ctx.Barrier(nprocs)
         workers = [
             ctx.Process(
                 target=_worker_main,
-                args=(rank, nprocs, program, inboxes, result_q, barrier,
+                args=(rank, nprocs, program, fabric, result_q, barrier,
                       self.timeout, self.trace, self.heartbeat_interval),
                 name=f"repro-rank-{rank}",
                 daemon=True,
             )
             for rank in range(nprocs)
         ]
-        reports: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-        last_heartbeat: Dict[int, float] = {}
-        done_ranks: set = set()
         try:
-            for w in workers:
-                w.start()
-            run_start = time.monotonic()
-            deadline = (
-                None
-                if self.timeout is None
-                else run_start + self.timeout + _PARENT_GRACE
-            )
-            while len(reports) < nprocs:
-                self._fire_due_time_kills(workers, reports, run_start)
-                # every iteration, not just on an empty queue: busy peers
-                # heartbeat constantly, so the queue is rarely empty while
-                # a straggler silently stalls
-                self._check_straggler(nprocs, reports, done_ranks,
-                                      last_heartbeat)
-                try:
-                    kind, rank, payload = result_q.get(timeout=0.1)
-                except queue_mod.Empty:
-                    # classify a fail-stop loss before anything else: a rank
-                    # that died by signal must surface as a crash, not as the
-                    # timeout/abort its stalled peers would otherwise cause
-                    crashed = self._crashed_rank(workers, reports)
-                    if crashed is not None:
-                        raise WorkerCrashedError(
-                            crashed,
-                            f"worker rank {crashed} vanished fail-stop "
-                            f"(exitcode {workers[crashed].exitcode}; last "
-                            f"heartbeat "
-                            f"{self._hb_age(last_heartbeat, crashed):.2f}s ago)",
-                        )
-                    dead = [
-                        w.name
-                        for r, w in enumerate(workers)
-                        if r not in reports
-                        and w.exitcode is not None
-                        and w.exitcode != 0
-                    ]
-                    if dead:
-                        raise WorkerFailedError(
-                            f"worker process(es) died without reporting: {dead}"
-                        )
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise BackendTimeoutError(
-                            f"process backend timed out after {self.timeout:g}s; "
-                            f"ranks missing: "
-                            f"{sorted(set(range(nprocs)) - set(reports))}"
-                        )
-                    continue
-                if kind == "hb":
-                    last_heartbeat[rank] = time.monotonic()
-                    continue
-                if kind == "done":
-                    # the rank finished its program and is only draining;
-                    # exempt it from straggler staleness checks
-                    done_ranks.add(rank)
-                    last_heartbeat[rank] = time.monotonic()
-                    continue
-                if kind == "ckpt":
-                    last_heartbeat[rank] = time.monotonic()
-                    iteration, snapshot = payload
-                    if checkpoints is not None:
-                        checkpoints.setdefault(iteration, {})[rank] = snapshot
-                    due = self.crash_on_checkpoint.get(rank)
-                    if due is not None and iteration >= due:
-                        del self.crash_on_checkpoint[rank]  # consumed-once
-                        self._kill_rank(workers, rank)
-                    continue
-                if kind == "err":
-                    # a peer's error may be collateral damage of an injected
-                    # crash (broken barrier, receive timeout); report the
-                    # root cause when one exists
-                    crashed = self._crashed_rank(workers, reports)
-                    if crashed is not None:
-                        raise WorkerCrashedError(
-                            crashed,
-                            f"worker rank {crashed} vanished fail-stop; "
-                            f"rank {rank} failed in the aftermath:\n{payload}",
-                        )
-                    raise WorkerFailedError(
-                        f"rank {rank} failed on the process backend:\n{payload}"
-                    )
-                reports[rank] = payload
+            try:
+                for w in workers:
+                    w.start()
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                # spawn pickles the arguments in this thread: fail now, typed
+                raise BackendError(
+                    f"cannot pickle program {program!r} for start method "
+                    f"{detail!r}: {type(exc).__name__}: {exc}") from exc
+            reports = self._collect(workers, result_q, checkpoints)
             for w in workers:
                 w.join(timeout=_PARENT_GRACE)
         finally:
             # every exit path -- success, deadline, crash, worker error,
             # KeyboardInterrupt -- must leave zero live children and no
-            # parent-side queue resources (a solver *service* runs
+            # parent-side pipes or mappings (a solver *service* runs
             # thousands of these; leaking one pipe pair per failed run
             # would exhaust the fd table)
             self._reap(workers)
-            self._close_queues(inboxes + [result_q])
+            self._close_queues([result_q])
+            fabric.close()
 
         return self._assemble(nprocs, reports)
+
+    #: wording of this backend's verdicts (the warm pool has its own)
+    _WORKER, _WORKERS, _BACKEND = (
+        "worker", "worker process(es)", "process backend")
+
+    def _collect(self, workers, result_q, checkpoints, job_id=0):
+        """Supervise one run until every rank reported; returns the reports.
+
+        The one supervision loop of the one-shot backend and the warm
+        pool.  Every item carries its job's id in front; items of other
+        jobs of a reused pool are skipped.
+        """
+        nprocs = len(workers)
+        reports: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
+        last_heartbeat: Dict[int, float] = {}
+        done_ranks: set = set()
+        collateral: Optional[WorkerFailedError] = None
+        run_start = time.monotonic()
+        deadline = (
+            None
+            if self.timeout is None
+            else run_start + self.timeout + _PARENT_GRACE
+        )
+        while len(reports) < nprocs:
+            self._fire_due_time_kills(workers, reports, run_start)
+            # every iteration, not just on an empty queue: busy peers
+            # heartbeat constantly, so the queue is rarely empty while
+            # a straggler silently stalls
+            self._check_straggler(nprocs, reports, done_ranks, last_heartbeat)
+            try:
+                item = result_q.get(timeout=0.1)
+            except queue_mod.Empty:
+                # classify a fail-stop loss before anything else: a rank
+                # that died by signal must surface as a crash, not as the
+                # timeout/abort its stalled peers would otherwise cause
+                crashed = self._crashed_rank(workers, reports)
+                if crashed is not None:
+                    raise WorkerCrashedError(
+                        crashed,
+                        f"{self._WORKER} rank {crashed} vanished fail-stop "
+                        f"(exitcode {workers[crashed].exitcode}; last "
+                        f"heartbeat "
+                        f"{self._hb_age(last_heartbeat, crashed):.2f}s ago)",
+                    )
+                dead = [
+                    w.name
+                    for r, w in enumerate(workers)
+                    if r not in reports
+                    and w.exitcode is not None
+                    and w.exitcode != 0
+                ]
+                if dead:
+                    raise WorkerFailedError(
+                        f"{self._WORKERS} died without reporting: {dead}"
+                    )
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BackendTimeoutError(
+                        f"{self._BACKEND} timed out after "
+                        f"{self.timeout:g}s; ranks missing: "
+                        f"{sorted(set(range(nprocs)) - set(reports))}"
+                    )
+                continue
+            jid, kind, rank, payload = item
+            if jid != job_id:
+                continue  # stale report from a previous (failed) job
+            if kind == "hb":
+                last_heartbeat[rank] = time.monotonic()
+            elif kind == "done":
+                # the rank finished its program and is only draining;
+                # exempt it from straggler staleness checks
+                done_ranks.add(rank)
+                last_heartbeat[rank] = time.monotonic()
+            elif kind == "ckpt":
+                last_heartbeat[rank] = time.monotonic()
+                iteration, snapshot = payload
+                if checkpoints is not None:
+                    checkpoints.setdefault(iteration, {})[rank] = snapshot
+                due = self.crash_on_checkpoint.get(rank)
+                if due is not None and iteration >= due:
+                    del self.crash_on_checkpoint[rank]  # consumed-once
+                    self._kill_rank(workers, rank)
+            elif kind == "err":
+                # a peer's error may be collateral damage of an injected
+                # crash (broken barrier, receive timeout); report the
+                # root cause when one exists
+                crashed = self._crashed_rank(workers, reports)
+                if crashed is not None:
+                    raise WorkerCrashedError(
+                        crashed,
+                        f"{self._WORKER} rank {crashed} vanished fail-stop; "
+                        f"rank {rank} failed in the aftermath:\n{payload}",
+                    )
+                failure = WorkerFailedError(
+                    f"rank {rank} failed on the {self._BACKEND}:\n{payload}"
+                )
+                if not payload.startswith("BrokenBarrierError"):
+                    raise failure
+                # a barrier broken under this rank is a peer's failure: let
+                # the peer's own report name the cause, keep this as fallback
+                reports[rank] = collateral = collateral or failure
+            else:
+                reports[rank] = payload
+        if collateral is not None:
+            raise collateral
+        return reports
 
     @staticmethod
     def _hb_age(last_heartbeat: Dict[int, float], rank: int) -> float:
@@ -774,6 +824,7 @@ class ProcessBackend(ExecutionBackend):
                 "wall": rep["wall"],
                 "compute_time": rep["compute_time"],
                 "comm_time": rep["comm_time"],
+                "send_time": rep["send_time"],
                 "messages": float(rep["messages"]),
                 "words": rep["words"],
                 "flops": rep["flops"],
@@ -784,6 +835,7 @@ class ProcessBackend(ExecutionBackend):
             "total": elapsed,
             "compute": sum(p["compute_time"] for p in per_rank) / nprocs,
             "comm": sum(p["comm_time"] for p in per_rank) / nprocs,
+            "send": sum(p["send_time"] for p in per_rank) / nprocs,
             "messages": float(sum(p["messages"] for p in per_rank)),
             "words": float(sum(p["words"] for p in per_rank)),
         }

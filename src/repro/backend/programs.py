@@ -47,8 +47,13 @@ __all__ = [
     "PCGRankProgram",
     "ResilientCGProgram",
     "PingPongProgram",
+    "PING_PONG_SIZES",
     "csr_arrays",
 ]
+
+#: default ping-pong sizes (words), up past the 50-100 k-word blocks the
+#: row-block solvers exchange: ``t_comm`` is fitted, not extrapolated
+PING_PONG_SIZES = (1, 64, 256, 1024, 4096, 16384, 65536, 262144)
 
 
 def csr_arrays(matrix):
@@ -1132,7 +1137,7 @@ class PingPongProgram:
     (on the simulator the measured times are just interpreter overhead).
     """
 
-    def __init__(self, sizes=(1, 64, 256, 1024, 4096, 16384), repeats: int = 7):
+    def __init__(self, sizes=PING_PONG_SIZES, repeats: int = 7):
         self.sizes = tuple(int(s) for s in sizes)
         self.repeats = int(repeats)
         if min(self.sizes) < 1 or self.repeats < 1:

@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cal.add_argument("--repeats", type=int, default=7,
                      help="ping-pong repetitions per message size")
-    cal.add_argument("--max-words", type=int, default=16384,
+    cal.add_argument("--max-words", type=int, default=262144,
                      help="largest ping-pong message (8-byte words)")
     cal.add_argument("--flop-n", type=int, default=1_000_000,
                      help="DAXPY length for the t_flop measurement")
@@ -453,6 +453,7 @@ def _cmd_solve_process(args: argparse.Namespace) -> int:
     print(f"wall time : {result.machine_elapsed * 1e3:.3f} ms (measured)")
     print(f"  compute : {timings['compute'] * 1e3:.3f} ms")
     print(f"  comm    : {timings['comm'] * 1e3:.3f} ms")
+    print(f"  send    : {timings.get('send', 0.0) * 1e3:.3f} ms")
     print(f"comm      : {result.comm['messages']} messages, "
           f"{result.comm['words']:.0f} words")
     recovery = result.extras.get("recovery")
@@ -668,6 +669,7 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .backend import calibrate_host, process_backend_support
+    from .backend.programs import PING_PONG_SIZES
     from .machine import CostModel
 
     ok, detail = process_backend_support()
@@ -676,8 +678,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    sizes = tuple(m for m in (1, 64, 256, 1024, 4096, 16384)
-                  if m <= args.max_words)
+    sizes = tuple(m for m in PING_PONG_SIZES if m <= args.max_words)
     cal = calibrate_host(sizes=sizes, repeats=args.repeats, flop_n=args.flop_n)
     default = CostModel()
     print("ping-pong samples (best of "

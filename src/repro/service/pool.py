@@ -5,7 +5,8 @@ solve: fork/spawn of P processes, creation of P+1 queues and a barrier,
 NumPy/module state warm-up, and a full reap.  For the ROADMAP's
 "millions of users" stream that per-job tax dominates small solves.  The
 :class:`WarmPool` keeps one **generation** of rank processes alive across
-jobs: each worker blocks on a per-rank task queue, receives
+jobs: each worker blocks on its task link of the generation's
+:class:`~repro.backend.transport.Fabric`, receives
 ``(job_id, program, timeout)``, runs the *exact same* ``_drive`` loop the
 one-shot backend runs (same heartbeats, same checkpoint publishing, same
 deadline semantics), then loops for the next job.  Partition and
@@ -16,8 +17,9 @@ Failure semantics -- the part a *service* cares about:
 
 * any job failure (worker error, fail-stop crash, straggler verdict,
   deadline) **condemns the generation**: every worker is reaped with
-  bounded joins and every queue closed, because a broken barrier or a
-  half-drained inbox must never leak into the next job;
+  bounded joins and every queue, pipe and the shared arena released,
+  because a broken barrier or a half-drained ring must never leak into
+  the next job;
 * the next ``run()`` transparently builds a fresh generation -- at
   whatever rank count the caller asks for, so
   :func:`~repro.backend.solve.run_with_recovery` drives respawn *and*
@@ -29,10 +31,14 @@ Failure semantics -- the part a *service* cares about:
 * :meth:`shutdown` is the graceful path: a ``stop`` message per worker,
   bounded joins, then the reaper for anything still alive.
 
-Messages are tagged with the generation's job id on both the result and
-the p2p queues; a worker drops any payload from an older job on the
-floor, so even a message that somehow survives condemnation cannot
-corrupt a later solve.
+Reports and rank-to-rank frames are tagged with the generation's job
+id; a worker decodes a frame of an older job (which releases its ring
+space) and drops it, so a stray message of one job cannot corrupt the
+next.
+
+Dispatch is stateless (DESIGN.md §11): ``run`` pickles the program once,
+its large arrays land once in the generation's dispatch ring, and every
+worker rebuilds the program over read-only views of it.
 
 The pool *is* an :class:`~repro.backend.base.ExecutionBackend` (it
 subclasses the one-shot backend for its supervision helpers), so
@@ -43,110 +49,35 @@ wherever they accept a ``ProcessBackend``.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_mod
-import time
-import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..backend.base import (
-    BackendError,
-    BackendRun,
-    BackendTimeoutError,
-    ProgramFactory,
-    WorkerCrashedError,
-    WorkerFailedError,
-)
+from ..backend.base import BackendError, BackendRun, ProgramFactory
 from ..backend.process import (
-    _PARENT_GRACE,
     ProcessBackend,
-    _drive,
+    _run_rank,
     crash_injection_support,
     process_backend_support,
 )
+from ..backend.transport import Fabric
 
 __all__ = ["WarmPool"]
 
 
-# ---------------------------------------------------------------------- #
-# worker-side job scoping
-# ---------------------------------------------------------------------- #
-class _JobResultQueue:
-    """Tags every report with the job id so the parent can scope it."""
-
-    __slots__ = ("q", "job_id")
-
-    def __init__(self, q, job_id: int):
-        self.q = q
-        self.job_id = job_id
-
-    def put(self, item) -> None:
-        self.q.put((self.job_id,) + tuple(item))
-
-
-class _JobInbox:
-    """A rank inbox scoped to one job: stale traffic is dropped on read."""
-
-    __slots__ = ("q", "job_id")
-
-    def __init__(self, q, job_id: int):
-        self.q = q
-        self.job_id = job_id
-
-    def put(self, item) -> None:
-        src, tag, payload = item
-        self.q.put((self.job_id, src, tag, payload))
-
-    def get(self, timeout: Optional[float] = None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                raise queue_mod.Empty
-            item = self.q.get(timeout=remaining)
-            if item[0] == self.job_id:
-                return item[1:]
-            # stale message from a condemned job: discard and keep waiting
-
-    def cancel_join_thread(self) -> None:
-        self.q.cancel_join_thread()
-
-
-def _pool_worker_main(rank, size, task_q, inboxes, result_q, barrier,
-                      hb_interval):
+def _pool_worker_main(rank, size, fabric, result_q, barrier, hb_interval):
     """Persistent worker: serve jobs until told to stop or a job breaks."""
+    mailbox = fabric.endpoint(rank)
     try:
         while True:
-            task = task_q.get()
+            task = fabric.tasks[rank].get()
             if task[0] == "stop":
                 break
             _, job_id, program, timeout, trace = task
-            rq = _JobResultQueue(result_q, job_id)
-            boxes = [_JobInbox(q, job_id) for q in inboxes]
-            broken = False
-            try:
-                outcome = ("ok", rank,
-                           _drive(rank, size, program, boxes, rq, barrier,
-                                  timeout, trace, hb_interval))
-                rq.put(("done", rank, time.monotonic()))
-                # drain barrier, exactly like the one-shot worker: nobody
-                # proceeds until every rank completed its receives, so no
-                # in-flight message can be abandoned between jobs
-                try:
-                    barrier.wait(timeout)
-                except Exception:
-                    broken = True  # a peer failed; generation is done for
-            except BaseException as exc:  # noqa: BLE001 - report, don't die
-                try:
-                    barrier.abort()
-                except Exception:
-                    pass
-                outcome = ("err", rank, f"{type(exc).__name__}: {exc}\n"
-                                        f"{traceback.format_exc()}")
-                broken = True
-            rq.put(outcome)
-            if broken:
+            mailbox.begin(job_id)
+            intact = _run_rank(rank, size, program, mailbox, result_q,
+                               barrier, timeout, trace, hb_interval)
+            # the program views the dispatch ring the next job overwrites
+            del task, program
+            if not intact:
                 # the barrier is unusable; exit and let the parent reap
                 break
     finally:
@@ -155,20 +86,17 @@ def _pool_worker_main(rank, size, task_q, inboxes, result_q, barrier,
             result_q.join_thread()  # flush the last outcome
         except Exception:
             pass
-        for q in inboxes:
-            q.cancel_join_thread()
 
 
 # ---------------------------------------------------------------------- #
 # parent side
 # ---------------------------------------------------------------------- #
 class _Generation:
-    """One cohort of persistent workers sharing queues and a barrier."""
+    """One cohort of persistent workers sharing a fabric and a barrier."""
 
     def __init__(self, ctx, nprocs: int, hb_interval: float):
         self.nprocs = nprocs
-        self.task_qs = [ctx.Queue() for _ in range(nprocs)]
-        self.inboxes = [ctx.Queue() for _ in range(nprocs)]
+        self.fabric = Fabric(ctx, nprocs, dispatch=True)
         self.result_q = ctx.Queue()
         self.barrier = ctx.Barrier(nprocs)
         self.next_job_id = 0
@@ -176,16 +104,13 @@ class _Generation:
         self.workers = [
             ctx.Process(
                 target=_pool_worker_main,
-                args=(rank, nprocs, self.task_qs[rank], self.inboxes,
-                      self.result_q, self.barrier, hb_interval),
+                args=(rank, nprocs, self.fabric, self.result_q,
+                      self.barrier, hb_interval),
                 name=f"repro-pool-{rank}",
                 daemon=True,
             )
             for rank in range(nprocs)
         ]
-
-    def all_queues(self):
-        return self.task_qs + self.inboxes + [self.result_q]
 
     def healthy(self) -> bool:
         return all(w.is_alive() for w in self.workers)
@@ -202,6 +127,7 @@ class WarmPool(ProcessBackend):
     """
 
     name = "warm_pool"
+    _WORKER, _WORKERS, _BACKEND = "pool worker", "pool worker(s)", "warm pool"
 
     def __init__(self, target_nprocs: int, **kwargs):
         if target_nprocs < 1:
@@ -237,20 +163,25 @@ class WarmPool(ProcessBackend):
             gen = None
         if gen is None:
             ctx = mp.get_context(detail)
-            gen = _Generation(ctx, nprocs, self.heartbeat_interval)
+            # owned before the first start: a failed start leaves a
+            # generation the next call condemns, arena and pipes included
+            gen = self._gen = _Generation(ctx, nprocs, self.heartbeat_interval)
+            self.rebuilds += 1
             for w in gen.workers:
                 w.start()
-            self._gen = gen
-            self.rebuilds += 1
         return gen
 
     def condemn(self) -> None:
-        """Reap the current generation and release its queues.  Idempotent."""
+        """Reap the current generation; release its queue, pipes and arena.
+
+        Idempotent.
+        """
         gen, self._gen = self._gen, None
         if gen is None:
             return
         self._reap(gen.workers)
-        self._close_queues(gen.all_queues())
+        self._close_queues([gen.result_q])
+        gen.fabric.close()
 
     def heal(self, nprocs: Optional[int] = None) -> int:
         """Ensure a healthy generation at ``nprocs`` (default: target size).
@@ -264,19 +195,17 @@ class WarmPool(ProcessBackend):
 
     def shutdown(self, grace: float = 2.0) -> None:
         """Graceful stop: ask workers to exit, then reap stragglers."""
-        gen, self._gen = self._gen, None
+        gen = self._gen
         if gen is None:
             return
-        for tq in gen.task_qs:
-            try:
-                tq.put(("stop",))
-            except (OSError, ValueError):  # pragma: no cover - queue gone
-                pass
-        for w in gen.workers:
-            if w.is_alive():
-                w.join(timeout=grace)
-        self._reap(gen.workers)
-        self._close_queues(gen.all_queues())
+        try:
+            gen.fabric.dispatch(("stop",), "the stop message", grace,
+                                gen.healthy)
+            for w in gen.workers:
+                if w.is_alive():
+                    w.join(timeout=grace)
+        finally:
+            self.condemn()
 
     def __enter__(self) -> "WarmPool":
         return self
@@ -301,10 +230,14 @@ class WarmPool(ProcessBackend):
         gen = self._ensure_generation(nprocs)
         job_id = gen.next_job_id
         gen.next_job_id += 1
-        for tq in gen.task_qs:
-            tq.put(("job", job_id, program, self.timeout, self.trace))
+        # pickled once, here: an unpicklable program raises before any
+        # worker has seen a byte, and the generation stays warm
+        gen.fabric.dispatch(
+            ("job", job_id, program, self.timeout, self.trace),
+            f"program {program!r}", self.timeout, gen.healthy)
         try:
-            reports = self._supervise(gen, job_id, checkpoints)
+            reports = self._collect(gen.workers, gen.result_q, checkpoints,
+                                    job_id)
         except BaseException:
             # deadline, crash, straggler, worker error, KeyboardInterrupt:
             # the generation's barrier/queues are unusable -- reap it all,
@@ -313,84 +246,3 @@ class WarmPool(ProcessBackend):
             raise
         gen.jobs_served += 1
         return self._assemble(nprocs, reports)
-
-    # -------------------------------------------------------------- #
-    def _supervise(self, gen: _Generation, job_id: int, checkpoints):
-        """Collect one job's reports; same verdicts as the one-shot backend."""
-        nprocs = gen.nprocs
-        workers = gen.workers
-        reports: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-        last_heartbeat: Dict[int, float] = {}
-        done_ranks: set = set()
-        run_start = time.monotonic()
-        deadline = (
-            None
-            if self.timeout is None
-            else run_start + self.timeout + _PARENT_GRACE
-        )
-        while len(reports) < nprocs:
-            self._fire_due_time_kills(workers, reports, run_start)
-            self._check_straggler(nprocs, reports, done_ranks, last_heartbeat)
-            try:
-                item = gen.result_q.get(timeout=0.1)
-            except queue_mod.Empty:
-                crashed = self._crashed_rank(workers, reports)
-                if crashed is not None:
-                    raise WorkerCrashedError(
-                        crashed,
-                        f"pool worker rank {crashed} vanished fail-stop "
-                        f"(exitcode {workers[crashed].exitcode}; last "
-                        f"heartbeat "
-                        f"{self._hb_age(last_heartbeat, crashed):.2f}s ago)",
-                    )
-                dead = [
-                    w.name
-                    for r, w in enumerate(workers)
-                    if r not in reports
-                    and w.exitcode is not None
-                    and w.exitcode != 0
-                ]
-                if dead:
-                    raise WorkerFailedError(
-                        f"pool worker(s) died without reporting: {dead}"
-                    )
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BackendTimeoutError(
-                        f"warm pool timed out after {self.timeout:g}s; "
-                        f"ranks missing: "
-                        f"{sorted(set(range(nprocs)) - set(reports))}"
-                    )
-                continue
-            jid, kind, rank, payload = item
-            if jid != job_id:
-                continue  # stale report from a previous (failed) job
-            if kind == "hb":
-                last_heartbeat[rank] = time.monotonic()
-                continue
-            if kind == "done":
-                done_ranks.add(rank)
-                last_heartbeat[rank] = time.monotonic()
-                continue
-            if kind == "ckpt":
-                last_heartbeat[rank] = time.monotonic()
-                iteration, snapshot = payload
-                if checkpoints is not None:
-                    checkpoints.setdefault(iteration, {})[rank] = snapshot
-                due = self.crash_on_checkpoint.get(rank)
-                if due is not None and iteration >= due:
-                    del self.crash_on_checkpoint[rank]  # consumed-once
-                    self._kill_rank(workers, rank)
-                continue
-            if kind == "err":
-                crashed = self._crashed_rank(workers, reports)
-                if crashed is not None:
-                    raise WorkerCrashedError(
-                        crashed,
-                        f"pool worker rank {crashed} vanished fail-stop; "
-                        f"rank {rank} failed in the aftermath:\n{payload}",
-                    )
-                raise WorkerFailedError(
-                    f"rank {rank} failed on the warm pool:\n{payload}"
-                )
-            reports[rank] = payload
-        return reports

@@ -6,9 +6,13 @@ table within hours.  Each test drives one failure exit path (deadline,
 worker exception, external SIGKILL, KeyboardInterrupt-style interrupt)
 and asserts the parent comes back with **zero** live children -- and no
 zombies either, since ``_reap`` ends with a bounded ``join`` on every
-worker.
+worker.  The last class holds the warm pool's shared-memory arena and
+pipes to the same standard: nothing under ``/dev/shm`` and not one more
+open descriptor after ``shutdown()``, ``condemn()`` or a rank killed
+mid-job.
 """
 
+import gc
 import multiprocessing as mp
 import os
 import signal
@@ -24,7 +28,8 @@ from repro.backend import (
     process_backend_support,
 )
 from repro.backend.process import crash_injection_support
-from repro.machine.events import Compute, Recv
+from repro.machine.events import Compute, Recv, Send
+from repro.service import WarmPool
 
 _OK, _DETAIL = process_backend_support()
 needs_process = pytest.mark.skipif(
@@ -138,3 +143,70 @@ class ComputeOnlyProgram:
     def __call__(self, rank, size):
         yield Compute(1.0)
         return rank
+
+
+# ------------------------------------------------------------------ #
+# the shared-memory arena and the pipes die with their generation
+# ------------------------------------------------------------------ #
+def _footprint():
+    """(names under /dev/shm, open descriptors) of this process."""
+    gc.collect()  # unreferenced queue pipes close on collection
+    shm = sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
+    return shm, len(os.listdir("/proc/self/fd"))
+
+
+class BigOperatorRing:
+    """Holds an array the dispatch ring carries; ranks swap ring-sized blocks."""
+
+    def __init__(self, hang=False):
+        self.operator = np.ones(1 << 16)
+        self.hang = hang
+
+    def __call__(self, rank, size):
+        yield Send(dest=(rank + 1) % size, payload=self.operator * rank, tag=1)
+        got = yield Recv(source=(rank - 1) % size, tag=1)
+        if self.hang:
+            yield Recv(source=rank, tag=404)
+        return float(got[0])
+
+
+@needs_process
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count descriptors")
+class TestPoolLeavesNoSharedMemoryBehind:
+    @pytest.fixture
+    def baseline(self):
+        # one full pool life first: whatever the interpreter sets up
+        # lazily (and keeps) must not be charged to the pool under test
+        with WarmPool(2, timeout=30.0) as warm:
+            warm.run(BigOperatorRing(), 2)
+        return _footprint()
+
+    def test_after_shutdown(self, baseline):
+        pool = WarmPool(2, timeout=30.0)
+        assert pool.run(BigOperatorRing(), 2).results == [1.0, 0.0]
+        assert _footprint()[1] > baseline[1]  # the pool does hold pipes
+        pool.shutdown()
+        assert _footprint() == baseline
+
+    def test_after_condemn(self, baseline):
+        pool = WarmPool(2, timeout=30.0)
+        pool.run(BigOperatorRing(), 2)
+        pool.condemn()
+        assert _footprint() == baseline
+
+    @needs_kill
+    def test_after_a_rank_is_killed_mid_job(self, baseline):
+        pool = WarmPool(2, timeout=30.0)
+        pool.heal()
+        victim = pool._gen.workers[1].pid
+        killer = threading.Timer(0.5, os.kill, (victim, signal.SIGKILL))
+        killer.start()
+        try:
+            with pytest.raises(BackendError):
+                pool.run(BigOperatorRing(hang=True), 2)
+        finally:
+            killer.join()
+        assert pool.generation_size == 0  # condemned by the failed job
+        pool.shutdown()
+        assert _footprint() == baseline

@@ -217,3 +217,23 @@ class TestShutdown:
 
     def test_shutdown_unstarted_pool(self):
         WarmPool(2).shutdown()  # nothing to do, nothing to raise
+
+
+def test_broken_barrier_report_does_not_mask_the_peers_root_cause():
+    """A rank can still be leaving the start barrier when a failing peer
+    aborts it; its BrokenBarrierError may reach the parent first."""
+    import queue
+    from types import SimpleNamespace
+
+    workers = [SimpleNamespace(exitcode=None, pid=None, name=f"w{r}")
+               for r in range(2)]
+    q = queue.Queue()
+    q.put((0, "err", 0, "BrokenBarrierError: \nTraceback ..."))
+    q.put((0, "err", 1, "RuntimeError: the root cause\nTraceback ..."))
+    with pytest.raises(WorkerFailedError, match="rank 1 failed.*\n.*root cause"):
+        ProcessBackend(timeout=5.0)._collect(workers, q, None)
+    # nobody else to blame: the broken barrier itself is reported
+    q.put((0, "err", 0, "BrokenBarrierError: \nTraceback ..."))
+    q.put((0, "ok", 1, ("result", {})))
+    with pytest.raises(WorkerFailedError, match="rank 0 failed.*\nBrokenBarrier"):
+        ProcessBackend(timeout=5.0)._collect(workers, q, None)
