@@ -228,7 +228,46 @@ class FaultyComm(Comm):
         return self._w(super().scatter(*args, **kwargs))
 
 
-class FaultInjectingProgram:
+class _DriverSeam:
+    """Forward the recovery driver's seam to the wrapped program, which is
+    what honours it: the driver sets ``restart``/``layout`` on whatever
+    factory it runs and reads ``default_layout``/``n``/``indptr`` from it.
+    Explicit properties (not ``__getattr__``) so pickling under ``spawn``
+    stays well-defined: unpickling probes attributes before ``inner`` exists.
+    """
+
+    @property
+    def restart(self):
+        return getattr(self.inner, "restart", None)
+
+    @restart.setter
+    def restart(self, value):
+        self.inner.restart = value
+
+    @property
+    def layout(self):
+        return getattr(self.inner, "layout", None)
+
+    @layout.setter
+    def layout(self, value):
+        self.inner.layout = value
+
+    @property
+    def default_layout(self):
+        # raises AttributeError (-> getattr default) when the inner
+        # program has no layout-factory seam
+        return self.inner.default_layout
+
+    @property
+    def n(self):
+        return self.inner.n
+
+    @property
+    def indptr(self):
+        return self.inner.indptr
+
+
+class FaultInjectingProgram(_DriverSeam):
     """Picklable factory wrapping a whole rank program in fault injection.
 
     ``FaultInjectingProgram(inner, plan)(rank, size)`` builds the inner
@@ -262,41 +301,8 @@ class FaultInjectingProgram:
             return wrapped
         return _merge_injector_stats(wrapped, injector)
 
-    # the recovery driver sets ``restart``/``layout`` on whatever factory it
-    # runs; forward both to the wrapped program, which is what honours them.
-    # Explicit properties (not __getattr__) so pickling stays well-defined.
-    @property
-    def restart(self):
-        return getattr(self.inner, "restart", None)
 
-    @restart.setter
-    def restart(self, value):
-        self.inner.restart = value
-
-    @property
-    def layout(self):
-        return getattr(self.inner, "layout", None)
-
-    @layout.setter
-    def layout(self, value):
-        self.inner.layout = value
-
-    @property
-    def default_layout(self):
-        # raises AttributeError (-> getattr default) when the inner
-        # program has no layout-factory seam
-        return self.inner.default_layout
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    @property
-    def indptr(self):
-        return self.inner.indptr
-
-
-class SlowdownProgram:
+class SlowdownProgram(_DriverSeam):
     """Picklable factory injecting *real* per-op slowdowns (process backend).
 
     The simulated scheduler models a straggler by dilating charged compute
@@ -373,33 +379,3 @@ class SlowdownProgram:
             except Exception as exc:  # receive timeout: forward inward
                 throw = exc
 
-    # driver-facing forwarding, same contract as FaultInjectingProgram
-    @property
-    def restart(self):
-        return getattr(self.inner, "restart", None)
-
-    @restart.setter
-    def restart(self, value):
-        self.inner.restart = value
-
-    @property
-    def layout(self):
-        return getattr(self.inner, "layout", None)
-
-    @layout.setter
-    def layout(self, value):
-        self.inner.layout = value
-
-    @property
-    def default_layout(self):
-        # raises AttributeError (-> getattr default) when the inner
-        # program has no layout-factory seam
-        return self.inner.default_layout
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    @property
-    def indptr(self):
-        return self.inner.indptr

@@ -40,6 +40,7 @@ import multiprocessing as mp
 import os
 import pickle
 import queue as queue_mod
+import select
 import signal
 import time
 import traceback
@@ -139,10 +140,17 @@ def process_backend_support(
     """Probe whether real OS-process execution works on this platform.
 
     Returns ``(supported, detail)``: ``detail`` is the resolved start
-    method when supported, or the reason when not (no ``fork``/``spawn``,
-    ``sem_open`` missing in the libc/sandbox, ...).  Tests use this for
-    explicit skip markers instead of failing opaquely mid-run.
+    method when supported, or the reason when not (a non-POSIX host, no
+    ``fork``/``spawn``, ``sem_open`` missing in the libc/sandbox, ...).
+    Tests use this for explicit skip markers instead of failing opaquely
+    mid-run.
     """
+    # the transport is pipes + select.poll + an unlinked shared mapping
+    # (repro.backend.transport): say so here, not from inside Fabric
+    if os.name != "posix":
+        return False, f"process backend needs a POSIX host, not {os.name!r}"
+    if not hasattr(select, "poll"):
+        return False, "select.poll unavailable on this platform"
     try:
         # platforms without a working sem_open (some musl/sandbox setups)
         # fail here rather than deep inside a Barrier

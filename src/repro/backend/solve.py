@@ -505,6 +505,82 @@ def run_with_recovery(
         return run
 
 
+def _resilient_solve(
+    build_program,
+    assemble,
+    backend: Union[str, ExecutionBackend],
+    backend_kwargs: Dict[str, Any],
+    nprocs: int,
+    faults: Optional[FaultPlan],
+    resilience: Optional[ResilienceConfig],
+    store: Optional[Dict[int, Dict[int, Any]]],
+    policy: str,
+    min_ranks: int,
+) -> SolveResult:
+    """The one fault-tolerant launch behind ``backend_solve``/``hpcg_solve``.
+
+    ``build_program(**guard_options)`` builds the guarded rank program
+    from the resilience options derived here; ``assemble(run, program)``
+    turns the surviving run into a ``SolveResult``.  In between the plan
+    is split by layer as :func:`backend_solve` documents: a string
+    ``backend`` is built with only the substrate's share, since passing
+    the full plan would double-inject the message faults.
+    """
+    cfg = resilience or ResilienceConfig()
+    plan = faults.clone() if faults is not None else None
+    message_faults = plan is not None and plan.message_faults_enabled
+    program = build_program(
+        checkpoint_interval=cfg.checkpoint_interval,
+        sanity_interval=cfg.sanity_interval,
+        sanity_rtol=cfg.sanity_rtol,
+        max_restarts=cfg.max_restarts,
+        faults=plan,  # state corruptions; rank-local derivation inside
+        reliable=message_faults,
+        reliable_config=cfg.reliable,
+    )
+    runnable = (
+        FaultInjectingProgram(program, plan) if message_faults else program
+    )
+    if isinstance(backend, str):
+        substrate_share = plan.substrate_plan() if plan is not None else None
+        be = make_backend(backend,
+                          **{**backend_kwargs, "faults": substrate_share})
+    else:
+        be = backend
+    if (
+        isinstance(be, ProcessBackend)
+        and plan is not None
+        and plan.slowdown_schedule()
+    ):
+        runnable = SlowdownProgram(runnable, plan.slowdown_schedule())
+    store = {} if store is None else store
+    latest = latest_complete_checkpoint(store, nprocs)
+    if latest is not None:
+        # a durable store outlives the driver: resume from the newest
+        # complete checkpoint the previous (killed) process published
+        program.restart = latest
+    run = run_with_recovery(be, runnable, nprocs,
+                            max_restarts=cfg.max_restarts,
+                            store=store, policy=policy, min_ranks=min_ranks)
+    result = assemble(run, program)
+    result.extras["recovery"] = dict(run.recovery)
+    extras = run.results[0][4] if run.results else {}
+    # row-block programs return the telemetry itself; HPCG nests it
+    result.extras["resilience"] = dict(extras.get("resilience", extras))
+    # injected-fault counters are per-rank (each rank's injector sees only
+    # its own sends); sum them so reports show whole-run totals
+    injected: Dict[str, Any] = {}
+    for res in run.results:
+        per_rank = (res[4] or {}).get("injected_faults") or {}
+        for key, value in per_rank.items():
+            if isinstance(value, (int, float)):
+                injected[key] = injected.get(key, 0) + value
+            else:
+                injected.setdefault(key, []).extend(value)
+    result.extras["injected_faults"] = injected
+    return result
+
+
 def backend_solve(
     solver: str,
     matrix,
@@ -588,65 +664,17 @@ def backend_solve(
             f"fault-tolerant backend solves support the 'cg' family only, "
             f"not {solver!r}"
         )
-    cfg = resilience or ResilienceConfig()
-    plan = faults.clone() if faults is not None else None
-    message_faults = plan is not None and plan.message_faults_enabled
-    program = ResilientCGProgram(
-        matrix, b, x0=x0, criterion=criterion,
-        checkpoint_interval=cfg.checkpoint_interval,
-        sanity_interval=cfg.sanity_interval,
-        sanity_rtol=cfg.sanity_rtol,
-        max_restarts=cfg.max_restarts,
-        faults=plan,  # state corruptions; rank-local derivation inside
-        reliable=message_faults,
-        reliable_config=cfg.reliable,
-        fused=fused,
-        reproducible=reproducible,
+    backend_kwargs: Dict[str, Any] = {}
+    if straggler_deadline is not None:
+        backend_kwargs["straggler_deadline"] = straggler_deadline
+    if backend == "process" and heartbeat_interval is not None:
+        backend_kwargs["heartbeat_interval"] = heartbeat_interval
+    return _resilient_solve(
+        lambda **guard: ResilientCGProgram(
+            matrix, b, x0=x0, criterion=criterion, fused=fused,
+            reproducible=reproducible, **guard),
+        lambda run, program: assemble_backend_result(
+            run, solver=solver, n=program.n),
+        backend, backend_kwargs, nprocs, faults, resilience, store, policy,
+        min_ranks,
     )
-    runnable = (
-        FaultInjectingProgram(program, plan) if message_faults else program
-    )
-    # the substrate executes only the crash + slowdown share of the plan;
-    # passing the full plan would double-inject the message faults
-    substrate_share = plan.substrate_plan() if plan is not None else None
-    if isinstance(backend, str):
-        kwargs: Dict[str, Any] = {"faults": substrate_share}
-        if straggler_deadline is not None:
-            kwargs["straggler_deadline"] = straggler_deadline
-        if backend == "process" and heartbeat_interval is not None:
-            kwargs["heartbeat_interval"] = heartbeat_interval
-        be = make_backend(backend, **kwargs)
-    else:
-        be = backend
-    if (
-        isinstance(be, ProcessBackend)
-        and plan is not None
-        and plan.slowdown_schedule()
-    ):
-        # real lateness the heartbeat monitor can observe (the simulator
-        # realises the same schedule by dilating charged compute time)
-        runnable = SlowdownProgram(runnable, plan.slowdown_schedule())
-    store = {} if store is None else store
-    latest = latest_complete_checkpoint(store, nprocs)
-    if latest is not None:
-        # a durable store outlives the driver: resume from the newest
-        # complete checkpoint the previous (killed) process published
-        program.restart = latest
-    run = run_with_recovery(be, runnable, nprocs,
-                            max_restarts=cfg.max_restarts,
-                            store=store, policy=policy, min_ranks=min_ranks)
-    result = assemble_backend_result(run, solver=solver, n=program.n)
-    result.extras["recovery"] = dict(run.recovery)
-    result.extras["resilience"] = run.results[0][4] if run.results else {}
-    # injected-fault counters are per-rank (each rank's injector sees only
-    # its own sends); sum them so reports show whole-run totals
-    injected: Dict[str, Any] = {}
-    for res in run.results:
-        per_rank = (res[4] or {}).get("injected_faults") or {}
-        for key, value in per_rank.items():
-            if isinstance(value, (int, float)):
-                injected[key] = injected.get(key, 0) + value
-            else:
-                injected.setdefault(key, []).extend(value)
-    result.extras["injected_faults"] = injected
-    return result

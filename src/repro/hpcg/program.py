@@ -12,12 +12,12 @@ Design choices that make the bitwise-reproducibility pin possible:
 * **one recurrence, two communication schedules.**  Genuinely different
   update orders (classic two-reduction CG vs the Chronopoulos--Gear
   recurrence) can never be bitwise equal, exact dots or not.  This program
-  therefore always runs the *preconditioned Chronopoulos--Gear* recurrence,
-  whose three per-iteration inner products (``gamma = r.u``,
-  ``delta = w.u``, ``rnorm2 = r.r``) are all available together after the
+  therefore always runs the *preconditioned Chronopoulos--Gear* recurrence
+  (:func:`~repro.backend.kernel.chronopoulos_gear_cg`), whose three
+  per-iteration inner products are all available together after the
   mat-vec; ``fused`` only chooses whether they travel in three separate
-  reduction trees (``classic``) or one packed
-  :func:`~repro.machine.spmd.allreduce_vec` (``fused``).  Slot-wise, both
+  reduction trees or one packed
+  :func:`~repro.machine.spmd.allreduce_vec`.  Slot-wise, both
   schedules perform the identical additions in the identical binomial-tree
   order, so classic and fused agree bitwise at any fixed rank count -- and
   with ``reproducible=True`` (exact superaccumulator reductions) across
@@ -38,31 +38,27 @@ Design choices that make the bitwise-reproducibility pin possible:
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend.abft import (
-    AbftChecksumError,
-    column_checksums,
-    decode_dot,
+from ..backend.abft import AbftChecksumError
+from ..backend.kernel import (
+    Collectives,
+    Guard,
+    RankProgramBase,
+    Reducer,
+    chronopoulos_gear_cg,
+    jacobi,
+    local_spmv,
 )
-from ..backend.programs import csr_arrays
-from ..backend.reproducible import (
-    dot_slots,
-    pack_slots,
-    render_slots,
-    sum_slots,
-    unpack_slots,
-)
-from ..core.resilience import RecoveryExhaustedError
+from ..core.preconditioners import JacobiPreconditioner
 from ..core.stopping import StoppingCriterion
 from ..hpf.distribution import Grid3DBlock
-from ..machine import reliable as rel
-from ..machine import spmd
-from ..machine.events import Checkpoint, Compute, Recv, Send
+from ..machine.events import Compute, Recv, Send
 from ..machine.faults import FaultPlan, RankFailedError
-from ..machine.reliable import ReliableConfig, ReliableEndpoint
+from ..machine.reliable import ReliableConfig
 from .mg import MultigridPreconditioner
 
 __all__ = [
@@ -153,7 +149,167 @@ def halo_plan(layout: Grid3DBlock, rank: int) -> List[Dict[str, Any]]:
     return plan
 
 
-class HPCGRankProgram:
+class SubcubeOperator:
+    """``A v`` on one subcube (see the module docstring): the operand comes
+    from the full vector the replicated V-cycle left behind, a 26-neighbour
+    halo exchange or, on one rank, a local scatter."""
+
+    def __init__(self, program, layout: Grid3DBlock, rank: int,
+                 comm: Collectives):
+        self.comm = comm
+        self.layout = layout
+        self.n = program.n
+        self.rows = rows = layout.local_indices_cached(rank)
+        # slice the global CSR arrays down to this rank's rows
+        indptr = program.indptr
+        counts = indptr[rows + 1] - indptr[rows]
+        lptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=lptr[1:])
+        offs = (np.repeat(indptr[rows] - lptr[:-1], counts)
+                + np.arange(int(lptr[-1]), dtype=np.int64))
+        self.indices = program.indices[offs]
+        self.data = program.data[offs]
+        self.row_ids = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        self.flops = 2.0 * int(lptr[-1])
+        self.plan = (
+            halo_plan(layout, rank)
+            if program.precond != "mg" and comm.size > 1 else []
+        )
+        self.send_lpos = [
+            np.asarray(layout.global_to_local(e["send_ids"]), dtype=np.int64)
+            for e in self.plan
+        ]
+        #: full operand left behind by the replicated preconditioner
+        self.replicated: Optional[np.ndarray] = None
+        #: host seconds inside the local SpMV (phase_spmv)
+        self.seconds = 0.0
+        if program.abft:
+            self.csum = program.colsum[rows]
+            self.acsum = program.abs_colsum[rows]
+            self.abft_rtol = program.abft_rtol
+
+    def assemble(self, blocks) -> np.ndarray:
+        full = np.zeros(self.n)
+        for rr, blk in enumerate(blocks):
+            full[self.layout.local_indices_cached(rr)] = blk
+        return full
+
+    def _spmv(self, full):
+        t0 = time.perf_counter()
+        out = local_spmv(self.row_ids, self.indices, self.data, full,
+                         self.rows.size)
+        self.seconds += time.perf_counter() - t0
+        yield Compute(self.flops)
+        return out
+
+    def apply_gathered(self, v, tag: int = 7):
+        blocks = yield from self.comm.allgather(v, tag=tag)
+        return (yield from self._spmv(self.assemble(blocks)))
+
+    def apply(self, u):
+        if self.replicated is not None:
+            full, self.replicated = self.replicated, None
+        elif self.comm.size > 1:
+            full = yield from self.exchange(u)
+        else:
+            full = np.zeros(self.n)
+            full[self.rows] = u
+        return (yield from self._spmv(full))
+
+    def _scatter(self, buf, entry, vals) -> None:
+        vals = np.asarray(vals)
+        expected = entry["recv_ids"].size
+        if vals.shape != (expected,):
+            raise ValueError(
+                f"halo {entry['kind']} mismatch: rank "
+                f"{entry['rank']} sent {vals.shape} to rank "
+                f"{self.comm.rank}, expected ({expected},)"
+            )
+        buf[entry["recv_ids"]] = vals
+
+    def exchange(self, v_local):
+        """Halo exchange: local block -> full-length scatter buffer.
+
+        Received payloads are shape-checked against the plan so a
+        corrupted or misrouted halo message is named by both ranks and
+        the face kind.  Over the reliable transport each neighbour pair
+        orders its acknowledged send/recv by rank -- two symmetric
+        stop-and-wait sends would deadlock waiting for each other's acks.
+        """
+        rank, ep = self.comm.rank, self.comm.ep
+        buf = np.zeros(self.n)
+        buf[self.rows] = v_local
+        if ep is None:
+            for entry, lpos in zip(self.plan, self.send_lpos):
+                yield Send(dest=entry["rank"], payload=v_local[lpos],
+                           tag=_HALO_TAG)
+            for entry in self.plan:
+                vals = yield Recv(source=entry["rank"], tag=_HALO_TAG)
+                self._scatter(buf, entry, vals)
+            return buf
+        for entry, lpos in zip(self.plan, self.send_lpos):
+            nb, kind = entry["rank"], entry["kind"]
+            try:
+                if rank < nb:
+                    yield from ep.send(nb, v_local[lpos], tag=_HALO_TAG)
+                    vals = yield from ep.recv(nb, tag=_HALO_TAG)
+                else:
+                    vals = yield from ep.recv(nb, tag=_HALO_TAG)
+                    yield from ep.send(nb, v_local[lpos], tag=_HALO_TAG)
+            except RankFailedError as exc:
+                raise RankFailedError(
+                    f"halo {kind} exchange between rank {rank} and "
+                    f"rank {nb} failed: {exc}",
+                    rank=nb,
+                ) from exc
+            self._scatter(buf, entry, vals)
+        return buf
+
+    def checksum_terms(self, w, u):
+        # no rank holds the full operand, so the expected value is reduced
+        # too: sum(A u) beside the per-rank column-checksum contributions
+        return [(w, None, "sum(A u)"), (self.csum, u, "colsum·u"),
+                (self.acsum, np.abs(u), "|colsum|·|u|")]
+
+    def verify_checksum(self, w_total, cs_total, acs_total) -> None:
+        tol = self.abft_rtol * (abs(acs_total) + 1.0)
+        if not np.isfinite(w_total) or abs(w_total - cs_total) > tol:
+            raise AbftChecksumError(
+                f"halo SpMV checksum mismatch: sum(A u) = "
+                f"{w_total!r} but column checksums predict "
+                f"{cs_total!r} (tolerance {tol:.3e})"
+            )
+
+
+def _copy_preconditioner(r):
+    """``precond="none"`` as HPCG has always run it: ``u`` is a *copy* of
+    ``r`` and the recurrence still reduces 3 dots (see ``_gear_step``)."""
+    return r.copy()
+    yield  # pragma: no cover - a generator with no ops
+
+
+class ReplicatedMultigrid:
+    """``u = M^-1 r`` by the replicated V-cycle: allgather, solve, slice; the
+    full result stays with the operator, whose next product needs no halo."""
+
+    def __init__(self, mg: MultigridPreconditioner, op: SubcubeOperator):
+        self.mg = mg
+        self.op = op
+        #: host seconds inside ``mg.solve`` (phase_mg)
+        self.seconds = 0.0
+
+    def __call__(self, r):
+        blocks = yield from self.op.comm.allgather(r)
+        r_full = self.op.assemble(blocks)
+        t0 = time.perf_counter()
+        z_full = self.mg.solve(r_full)
+        self.seconds += time.perf_counter() - t0
+        yield Compute(self.mg.flops_per_apply)
+        self.op.replicated = z_full
+        return z_full[self.op.rows]
+
+
+class HPCGRankProgram(RankProgramBase):
     """Preconditioned CG on a 3-D 27-point stencil, subcube-distributed.
 
     Parameters
@@ -181,66 +337,39 @@ class HPCGRankProgram:
     statistics and per-phase compute seconds.
     """
 
-    def __init__(
-        self,
-        matrix,
-        b: np.ndarray,
-        shape: Tuple[int, int, int],
-        x0: Optional[np.ndarray] = None,
-        criterion: Optional[StoppingCriterion] = None,
-        maxiter: Optional[int] = None,
-        precond: str = "mg",
-        fused: bool = False,
-        reproducible: bool = False,
-        mg_levels: int = 4,
-        grid: Optional[Tuple[int, int, int]] = None,
-    ):
-        n, indptr, indices, data = csr_arrays(matrix)
+    def __init__(self, matrix, b: np.ndarray, shape: Tuple[int, int, int],
+                 x0: Optional[np.ndarray] = None,
+                 criterion: Optional[StoppingCriterion] = None,
+                 maxiter: Optional[int] = None, precond: str = "mg",
+                 fused: bool = False, reproducible: bool = False,
+                 mg_levels: int = 4,
+                 grid: Optional[Tuple[int, int, int]] = None):
+        super().__init__(matrix, b, x0, criterion, maxiter, reproducible)
         nx, ny, nz = (int(s) for s in shape)
-        if nx * ny * nz != n:
+        if nx * ny * nz != self.n:
             raise ValueError(
-                f"shape {shape} implies {nx * ny * nz} rows, matrix has {n}"
+                f"shape {shape} implies {nx * ny * nz} rows, "
+                f"matrix has {self.n}"
             )
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (n,):
-            raise ValueError(f"b must have shape ({n},), got {b.shape}")
         if precond not in HPCG_PRECONDS:
             raise ValueError(
                 f"unknown preconditioner {precond!r}; "
                 f"expected one of {HPCG_PRECONDS}"
             )
-        self.n = n
         self.shape = (nx, ny, nz)
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.b = b
-        self.x_start = (
-            np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64)
-        )
-        self.crit = criterion or StoppingCriterion()
-        self.maxiter = maxiter if maxiter is not None else self.crit.cap(n)
         self.precond = precond
         self.fused = bool(fused)
-        self.reproducible = bool(reproducible)
         self.grid = grid
-        if precond == "jacobi":
-            diag = np.zeros(n)
-            for_rows = np.repeat(np.arange(n), np.diff(indptr))
-            on_diag = for_rows == indices
-            diag[for_rows[on_diag]] = data[on_diag]
-            if (diag == 0).any():
-                raise ValueError("Jacobi needs a zero-free diagonal")
-            self.inv_diag: Optional[np.ndarray] = 1.0 / diag
-        else:
-            self.inv_diag = None
+        self.inv_diag: Optional[np.ndarray] = (
+            JacobiPreconditioner(matrix).inv_diag
+            if precond == "jacobi" else None
+        )
         self.mg = (
             MultigridPreconditioner(matrix, self.shape, max_levels=mg_levels)
             if precond == "mg"
             else None
         )
 
-    # ------------------------------------------------------------------ #
     def default_layout(self, nprocs: int) -> Grid3DBlock:
         """Subcube layout at ``nprocs`` ranks.
 
@@ -253,780 +382,120 @@ class HPCGRankProgram:
             grid = None
         return Grid3DBlock(self.shape, nprocs, grid=grid)
 
-    def _local_csr(self, rows: np.ndarray):
-        """Slice the global CSR arrays down to this rank's rows."""
-        indptr, indices, data = self.indptr, self.indices, self.data
-        counts = (indptr[rows + 1] - indptr[rows]) if rows.size else \
-            np.zeros(0, dtype=np.int64)
-        local_nnz = int(counts.sum())
-        lptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=lptr[1:])
-        if rows.size:
-            offs = (
-                np.repeat(indptr[rows] - lptr[:-1], counts)
-                + np.arange(local_nnz, dtype=np.int64)
-            )
-        else:
-            offs = np.zeros(0, dtype=np.int64)
-        lrow_ids = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-        return local_nnz, indices[offs], data[offs], lrow_ids
+    def _layout_at(self, size: int) -> Grid3DBlock:
+        return Grid3DBlock(self.shape, size, grid=self.grid)
 
     def __call__(self, rank: int, size: int):
         t_setup = time.perf_counter()
-        phase = {"setup": 0.0, "spmv": 0.0, "mg": 0.0, "dot": 0.0}
-        layout = Grid3DBlock(self.shape, size, grid=self.grid)
-        rows = layout.local_indices_cached(rank)
-        local_nnz, lindices, ldata, lrow_ids = self._local_csr(rows)
-
-        x = self.x_start[rows].copy()
-        bb = self.b[rows].copy()
-        inv_d = self.inv_diag[rows] if self.inv_diag is not None else None
-
-        plan = (
-            halo_plan(layout, rank) if self.precond != "mg" and size > 1
-            else []
-        )
-        halo_words = int(sum(e["send_ids"].size for e in plan))
-        send_lpos = [
-            np.asarray(layout.global_to_local(e["send_ids"]), dtype=np.int64)
-            for e in plan
-        ]
-        crit, maxiter = self.crit, self.maxiter
-        phase["setup"] += time.perf_counter() - t_setup
-
-        def matvec(v_full):
-            t0 = time.perf_counter()
-            out = np.zeros(rows.size)
-            np.add.at(out, lrow_ids, ldata * v_full[lindices])
-            phase["spmv"] += time.perf_counter() - t0
-            return out
-
-        def assemble(blocks):
-            full = np.zeros(self.n)
-            for rr, blk in enumerate(blocks):
-                full[layout.local_indices_cached(rr)] = blk
-            return full
-
-        def exchange(v_local):
-            """Halo exchange: local block -> full-length scatter buffer."""
-            for entry, lpos in zip(plan, send_lpos):
-                yield Send(dest=entry["rank"], payload=v_local[lpos],
-                           tag=_HALO_TAG)
-            buf = np.zeros(self.n)
-            buf[rows] = v_local
-            for entry in plan:
-                vals = yield Recv(source=entry["rank"], tag=_HALO_TAG)
-                buf[entry["recv_ids"]] = vals
-            return buf
-
-        def reduce_dots(pairs, tag=3):
-            """Globally reduce ``len(pairs)`` inner products.
-
-            ``fused`` packs them into one tree; otherwise each gets its
-            own.  Slot-wise the combination order is identical, so the two
-            schedules agree bitwise at any fixed rank count.
-            """
-            t0 = time.perf_counter()
-            if self.reproducible:
-                blocks = [dot_slots(a, b) for a, b in pairs]
-                nel = sum(a.size for a, _ in pairs)
-                phase["dot"] += time.perf_counter() - t0
-                if self.fused:
-                    red = yield from spmd.allreduce_vec(
-                        rank, size, pack_slots(blocks), tag=tag
-                    )
-                    out = [render_slots(s)
-                           for s in unpack_slots(red, len(pairs))]
-                else:
-                    out = []
-                    for i, blk in enumerate(blocks):
-                        red = yield from spmd.allreduce_vec(
-                            rank, size, blk, tag=tag + 2 * i
-                        )
-                        out.append(render_slots(red))
-                yield Compute((2.0 + _REPRO_FLOPS) * nel)
-                return out
-            locals_ = [float(a @ b) for a, b in pairs]
-            nel = sum(a.size for a, _ in pairs)
-            phase["dot"] += time.perf_counter() - t0
-            if self.fused:
-                red = yield from spmd.allreduce_vec(
-                    rank, size, np.array(locals_), tag=tag
-                )
-                out = [float(v) for v in red]
-            else:
-                out = []
-                for i, v in enumerate(locals_):
-                    red = yield from spmd.allreduce_sum(
-                        rank, size, v, tag=tag + 2 * i
-                    )
-                    out.append(float(red))
-            yield Compute(2.0 * nel)
-            return out
-
-        def apply_precond(r_local):
-            """u = M^-1 r.  Returns (u_local, u_full_or_None)."""
-            if self.precond == "none":
-                return r_local.copy(), None
-            if self.precond == "jacobi":
-                u = inv_d * r_local
-                yield Compute(float(r_local.size))
-                return u, None
-            # mg: allgather r, apply the deterministic V-cycle to the full
-            # vector on every rank (replicated serialised work), slice
-            blocks = yield from spmd.allgather(rank, size, r_local)
-            r_full = assemble(blocks)
-            t0 = time.perf_counter()
-            z_full = self.mg.solve(r_full)
-            phase["mg"] += time.perf_counter() - t0
-            yield Compute(self.mg.flops_per_apply)
-            return z_full[rows], z_full
-
-        def precond_matvec(u_local, u_full):
-            """w = A u, via halo exchange unless u is already replicated."""
-            if u_full is not None:
-                full = u_full
-            elif size > 1:
-                full = yield from exchange(u_local)
-            else:
-                full = np.zeros(self.n)
-                full[rows] = u_local
-            w = matvec(full)
-            yield Compute(2.0 * local_nnz)
-            return w
-
-        # ---------------- setup ---------------------------------------- #
-        if np.any(self.x_start):
-            blocks = yield from spmd.allgather(rank, size, x)
-            ax = matvec(assemble(blocks))
-            yield Compute(2.0 * local_nnz)
-            r = bb - ax
+        layout = self._layout_at(size)
+        comm = Collectives(rank, size, self.reliable, self.reliable_config)
+        op = SubcubeOperator(self, layout, rank, comm)
+        if self.precond == "mg":
+            precond = ReplicatedMultigrid(self.mg, op)
+        elif self.precond == "jacobi":
+            precond = partial(jacobi, self.inv_diag[op.rows])
         else:
-            r = bb.copy()
+            precond = _copy_preconditioner
+        # unfused, every HPCG dot rides its own tree; and only HPCG charges
+        # the reproducible-dot surcharge (see Reducer)
+        reducer = Reducer(comm, self.reproducible, self.fused, split=True,
+                          repro_flops=_REPRO_FLOPS,
+                          abft_op=op if self.abft else None)
+        bb = self.b[op.rows].copy()
+        guard = None
+        if self.guarded:
+            guard = Guard(self, rank, op, reducer, bb, trajectory=True,
+                          recharge_audit=True)
+        x = self.x_start[op.rows].copy()
+        setup_seconds = time.perf_counter() - t_setup
 
-        u, u_full = yield from apply_precond(r)
-        w = yield from precond_matvec(u, u_full)
-        gamma, delta, rnorm2, bnorm2 = yield from reduce_dots(
-            [(r, u), (w, u), (r, r), (bb, bb)]
+        x, residuals, converged, iterations, trajectory = (
+            yield from chronopoulos_gear_cg(
+                op, precond, reducer, guard, bb, x,
+                bool(np.any(self.x_start)), self.crit, self.maxiter,
+            )
         )
-        bnorm = float(np.sqrt(bnorm2))
-        residuals = [float(np.sqrt(max(0.0, rnorm2)))]
-        alphas: List[float] = []
-        betas: List[float] = []
-        gammas: List[float] = [gamma]
-
+        kinds = [e["kind"] for e in op.plan]
+        halo = {
+            "neighbors": len(kinds),
+            "faces": kinds.count("face"),
+            "edges": kinds.count("edge"),
+            "corners": kinds.count("corner"),
+            "words_per_exchange": int(
+                sum(e["send_ids"].size for e in op.plan)),
+        }
         extras: Dict[str, Any] = {
             "precond": self.precond,
             "fused": self.fused,
             "reproducible": self.reproducible,
-            "grid": layout.grid,
-            "halo": {
-                "neighbors": len(plan),
-                "faces": sum(e["kind"] == "face" for e in plan),
-                "edges": sum(e["kind"] == "edge" for e in plan),
-                "corners": sum(e["kind"] == "corner" for e in plan),
-                "words_per_exchange": halo_words,
-            },
-            "mg_depth": self.mg.depth if self.mg is not None else 0,
-            "mg_flops_per_apply": (
-                self.mg.flops_per_apply if self.mg is not None else 0.0
-            ),
         }
-
-        def finish(converged, iterations):
-            extras["alphas"] = alphas
-            extras["betas"] = betas
-            extras["gammas"] = gammas
-            extras["phase_seconds"] = dict(phase)
-            return x, residuals, converged, iterations, extras
-
-        if crit.satisfied(residuals[-1], bnorm):
-            return finish(True, 0)
-        if delta == 0.0:
-            return finish(False, 0)
-        alpha = gamma / delta
-        alphas.append(alpha)
-        p = u.copy()
-        s = w.copy()
-
-        # ---------------- main loop ------------------------------------ #
-        converged = False
-        iterations = 0
-        for k in range(1, maxiter + 1):
-            x += alpha * p
-            r -= alpha * s
-            yield Compute(4.0 * r.size)
-            u, u_full = yield from apply_precond(r)
-            w = yield from precond_matvec(u, u_full)
-            gamma_new, delta, rnorm2 = yield from reduce_dots(
-                [(r, u), (w, u), (r, r)]
-            )
-            residuals.append(float(np.sqrt(max(0.0, rnorm2))))
-            gammas.append(gamma_new)
-            iterations = k
-            if crit.satisfied(residuals[-1], bnorm):
-                converged = True
-                break
-            beta = gamma_new / gamma
-            denom = delta - beta * gamma_new / alpha
-            if denom == 0.0:
-                break
-            alpha = gamma_new / denom
-            gamma = gamma_new
-            betas.append(beta)
-            alphas.append(alpha)
-            p = u + beta * p
-            s = w + beta * s
-            yield Compute(4.0 * r.size)
-        return finish(converged, iterations)
+        if guard is not None:
+            extras["abft"] = self.abft
+            halo["reliable"] = self.reliable
+        extras.update(
+            grid=layout.grid,
+            halo=halo,
+            mg_depth=self.mg.depth if self.mg is not None else 0,
+            mg_flops_per_apply=(
+                self.mg.flops_per_apply if self.mg is not None else 0.0),
+        )
+        extras["alphas"], extras["betas"], extras["gammas"] = trajectory
+        extras["phase_seconds"] = {
+            "setup": setup_seconds,
+            "spmv": op.seconds,
+            "mg": precond.seconds if self.mg is not None else 0.0,
+            "dot": reducer.seconds,
+        }
+        if guard is not None:
+            extras["resilience"] = guard.extras()
+        return x, residuals, converged, iterations, extras
 
 
 class ResilientHPCGProgram(HPCGRankProgram):
     """Fault-tolerant HPCG: checkpoints, audits, ABFT, reliable halo.
 
     The resilience treatment of
-    :class:`~repro.backend.programs.ResilientCGProgram`, applied to the
-    subcube-distributed Chronopoulos--Gear recurrence:
-
-    * periodic :class:`~repro.machine.events.Checkpoint` ops snapshot
-      ``x``/``r``/``p``/``s`` plus the recurrence scalars per subcube, in
-      the same format :func:`repro.backend.solve.reslice_snapshots`
-      redistributes, so both ``respawn`` and ``shrink`` recovery work;
-    * coordinated sanity audits recompute ``||b - A x||`` from scratch;
-      every rank compares the same reduced values, so all roll back to the
-      last snapshot (or none do) without extra coordination;
-    * with ``abft=True`` every inner product travels as duplicate-sum
-      slots and the halo SpMV is checksummed: the reduction carries
-      ``sum(A u)`` alongside the per-rank column-checksum contributions
-      ``colsum·u`` and ``|colsum|·|u|`` (no rank holds the full operand,
-      so the expected value is reduced rather than computed locally);
-    * with ``reliable=True`` every collective *and* every face/edge/corner
-      halo message rides the stop-and-wait ARQ of
-      :mod:`repro.machine.reliable`.  Neighbour pairs order their
-      send/recv by rank (lower sends first) so two blocking acknowledged
-      sends never face each other.
+    :class:`~repro.backend.programs.ResilientCGProgram` (one
+    :class:`~repro.backend.kernel.Guard`) on the subcube-distributed
+    recurrence.  Checkpoints snapshot ``x``/``r``/``p``/``s`` plus the
+    recurrence scalars per subcube, in the format
+    :func:`repro.backend.solve.reslice_snapshots` redistributes, so both
+    ``respawn`` and ``shrink`` recovery work.  With ``abft=True`` every
+    dot travels as duplicate-sum slots and the halo SpMV is checksummed;
+    with ``reliable=True`` every collective *and* every face/edge/corner
+    halo message rides the ARQ of :mod:`repro.machine.reliable`.
 
     Fusion and ``reproducible=True`` compose exactly as in the plain
     program; a fault-free resilient run reproduces the plain trajectory
     bitwise.
     """
 
-    def __init__(
-        self,
-        matrix,
-        b: np.ndarray,
-        shape: Tuple[int, int, int],
-        x0: Optional[np.ndarray] = None,
-        criterion: Optional[StoppingCriterion] = None,
-        maxiter: Optional[int] = None,
-        precond: str = "mg",
-        fused: bool = False,
-        reproducible: bool = False,
-        mg_levels: int = 4,
-        grid: Optional[Tuple[int, int, int]] = None,
-        checkpoint_interval: int = 10,
-        sanity_interval: int = 5,
-        sanity_rtol: float = 1.0e-6,
-        max_restarts: int = 4,
-        faults: Optional[FaultPlan] = None,
-        reliable: bool = False,
-        reliable_config: Optional[ReliableConfig] = None,
-        abft: bool = False,
-        abft_rtol: float = 1.0e-8,
-        layout: Optional[Grid3DBlock] = None,
-    ):
+    def __init__(self, matrix, b: np.ndarray, shape: Tuple[int, int, int],
+                 x0: Optional[np.ndarray] = None,
+                 criterion: Optional[StoppingCriterion] = None,
+                 maxiter: Optional[int] = None, precond: str = "mg",
+                 fused: bool = False, reproducible: bool = False,
+                 mg_levels: int = 4,
+                 grid: Optional[Tuple[int, int, int]] = None,
+                 checkpoint_interval: int = 10, sanity_interval: int = 5,
+                 sanity_rtol: float = 1.0e-6, max_restarts: int = 4,
+                 faults: Optional[FaultPlan] = None, reliable: bool = False,
+                 reliable_config: Optional[ReliableConfig] = None,
+                 abft: bool = False, abft_rtol: float = 1.0e-8,
+                 layout: Optional[Grid3DBlock] = None):
         super().__init__(
             matrix, b, shape, x0=x0, criterion=criterion, maxiter=maxiter,
             precond=precond, fused=fused, reproducible=reproducible,
             mg_levels=mg_levels, grid=grid,
         )
-        if checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
-        if sanity_interval < 1:
-            raise ValueError("sanity_interval must be >= 1")
-        self.checkpoint_interval = int(checkpoint_interval)
-        self.sanity_interval = int(sanity_interval)
-        self.sanity_rtol = float(sanity_rtol)
-        self.max_restarts = int(max_restarts)
-        self.faults = faults
-        self.reliable = bool(reliable)
-        self.reliable_config = reliable_config
-        self.abft = bool(abft)
-        self.abft_rtol = float(abft_rtol)
-        self.colsum, self.abs_colsum = (
-            column_checksums(self.n, self.indices, self.data)
-            if self.abft
-            else (None, None)
-        )
+        self._init_guard(checkpoint_interval, sanity_interval, sanity_rtol,
+                         max_restarts, faults, reliable, reliable_config,
+                         abft, abft_rtol)
         #: set by the recovery driver after a shrink
         self.layout: Optional[Grid3DBlock] = layout
-        #: set by the recovery driver: (iteration, {rank: snapshot})
-        self.restart: Optional[Tuple[int, Dict[int, Dict[str, Any]]]] = None
 
-    # ------------------------------------------------------------------ #
-    def __call__(self, rank: int, size: int):
-        t_setup = time.perf_counter()
-        phase = {"setup": 0.0, "spmv": 0.0, "mg": 0.0, "dot": 0.0}
-        layout = (
-            self.layout
-            if isinstance(self.layout, Grid3DBlock)
-            and self.layout.nprocs == size
-            else self.default_layout(size)
-        )
-        rows = layout.local_indices_cached(rank)
-        local_nnz, lindices, ldata, lrow_ids = self._local_csr(rows)
-
-        bb = self.b[rows].copy()
-        inv_d = self.inv_diag[rows] if self.inv_diag is not None else None
-
-        plan = (
-            halo_plan(layout, rank) if self.precond != "mg" and size > 1
-            else []
-        )
-        halo_words = int(sum(e["send_ids"].size for e in plan))
-        send_lpos = [
-            np.asarray(layout.global_to_local(e["send_ids"]), dtype=np.int64)
-            for e in plan
-        ]
-        crit, maxiter = self.crit, self.maxiter
-        fplan = self.faults.for_rank(rank) if self.faults is not None else None
-        ep = (
-            ReliableEndpoint(rank, self.reliable_config)
-            if self.reliable
-            else None
-        )
-        csum_rows = self.colsum[rows] if self.abft else None
-        acsum_rows = self.abs_colsum[rows] if self.abft else None
-        phase["setup"] += time.perf_counter() - t_setup
-
-        def matvec(v_full):
-            t0 = time.perf_counter()
-            out = np.zeros(rows.size)
-            np.add.at(out, lrow_ids, ldata * v_full[lindices])
-            phase["spmv"] += time.perf_counter() - t0
-            return out
-
-        def assemble(blocks):
-            full = np.zeros(self.n)
-            for rr, blk in enumerate(blocks):
-                full[layout.local_indices_cached(rr)] = blk
-            return full
-
-        def allgather(value, tag=7):
-            if ep is not None:
-                out = yield from rel.allgather(ep, rank, size, value, tag=tag)
-            else:
-                out = yield from spmd.allgather(rank, size, value, tag=tag)
-            return out
-
-        def allreduce_vec(values, tag=3):
-            if ep is not None:
-                out = yield from rel.allreduce_vec(ep, rank, size, values,
-                                                   tag=tag)
-            else:
-                out = yield from spmd.allreduce_vec(rank, size, values,
-                                                    tag=tag)
-            return out
-
-        def allreduce_sum(value, tag=3):
-            if ep is not None:
-                out = yield from rel.allreduce_sum(ep, rank, size, value,
-                                                   tag=tag)
-            else:
-                out = yield from spmd.allreduce_sum(rank, size, value,
-                                                    tag=tag)
-            return out
-
-        def exchange(v_local):
-            """Halo exchange: local block -> full-length scatter buffer.
-
-            Received payloads are shape-checked against the plan so a
-            corrupted or misrouted halo message is named by both ranks and
-            the face kind (mirroring the ``allreduce_vec`` slot-mismatch
-            errors).  Over the reliable transport each neighbour pair
-            orders its acknowledged send/recv by rank -- two symmetric
-            stop-and-wait sends would deadlock waiting for each other's
-            acks.
-            """
-            buf = np.zeros(self.n)
-            buf[rows] = v_local
-
-            def _scatter(entry, vals):
-                vals = np.asarray(vals)
-                expected = entry["recv_ids"].size
-                if vals.shape != (expected,):
-                    raise ValueError(
-                        f"halo {entry['kind']} mismatch: rank "
-                        f"{entry['rank']} sent {vals.shape} to rank {rank}, "
-                        f"expected ({expected},)"
-                    )
-                buf[entry["recv_ids"]] = vals
-
-            if ep is None:
-                for entry, lpos in zip(plan, send_lpos):
-                    yield Send(dest=entry["rank"], payload=v_local[lpos],
-                               tag=_HALO_TAG)
-                for entry in plan:
-                    vals = yield Recv(source=entry["rank"], tag=_HALO_TAG)
-                    _scatter(entry, vals)
-                return buf
-            for entry, lpos in zip(plan, send_lpos):
-                nb, kind = entry["rank"], entry["kind"]
-                try:
-                    if rank < nb:
-                        yield from ep.send(nb, v_local[lpos], tag=_HALO_TAG)
-                        vals = yield from ep.recv(nb, tag=_HALO_TAG)
-                    else:
-                        vals = yield from ep.recv(nb, tag=_HALO_TAG)
-                        yield from ep.send(nb, v_local[lpos], tag=_HALO_TAG)
-                except RankFailedError as exc:
-                    raise RankFailedError(
-                        f"halo {kind} exchange between rank {rank} and "
-                        f"rank {nb} failed: {exc}",
-                        rank=nb,
-                    ) from exc
-                _scatter(entry, vals)
-            return buf
-
-        def reduce_dots(pairs, labels, tag=3, check=None):
-            """Reduce inner products, optionally ABFT-hardened.
-
-            With ``abft`` every dot's slots travel duplicated
-            (:func:`~repro.backend.abft.decode_dot` exact-equality check)
-            and ``check=(w, u)`` appends the halo-SpMV column checksum:
-            ``sum(w)`` (duplicated) plus the reduced contributions
-            ``colsum·u`` and ``|colsum|·|u|``, verified against each other
-            after the reduction.  Fused packs everything into one tree;
-            classic gives each dot (and the checksum group) its own.
-            """
-            t0 = time.perf_counter()
-            nel = sum(a.size for a, _ in pairs)
-            if self.reproducible:
-                groups = []
-                for a, b in pairs:
-                    blk = dot_slots(a, b)
-                    groups.append([blk, blk] if self.abft else [blk])
-                if self.abft and check is not None:
-                    w_loc, u_loc = check
-                    ws = sum_slots(w_loc)
-                    cs = dot_slots(csum_rows, u_loc)
-                    acs = dot_slots(acsum_rows, np.abs(u_loc))
-                    groups.append([ws, ws, cs, cs, acs, acs])
-                phase["dot"] += time.perf_counter() - t0
-                rendered = []
-                if self.fused:
-                    flat = [blk for grp in groups for blk in grp]
-                    red = yield from allreduce_vec(pack_slots(flat), tag=tag)
-                    rendered = [render_slots(s)
-                                for s in unpack_slots(red, len(flat))]
-                else:
-                    for i, grp in enumerate(groups):
-                        red = yield from allreduce_vec(
-                            pack_slots(grp), tag=tag + 2 * i
-                        )
-                        rendered.extend(
-                            render_slots(s)
-                            for s in unpack_slots(red, len(grp))
-                        )
-                yield Compute((2.0 + _REPRO_FLOPS) * nel)
-            else:
-                groups = []
-                for a, b in pairs:
-                    v = float(a @ b)
-                    groups.append([v, v] if self.abft else [v])
-                if self.abft and check is not None:
-                    w_loc, u_loc = check
-                    ws = float(w_loc.sum())
-                    cs = float(csum_rows @ u_loc)
-                    acs = float(acsum_rows @ np.abs(u_loc))
-                    groups.append([ws, ws, cs, cs, acs, acs])
-                phase["dot"] += time.perf_counter() - t0
-                rendered = []
-                if self.fused:
-                    flat = [v for grp in groups for v in grp]
-                    red = yield from allreduce_vec(np.array(flat), tag=tag)
-                    rendered = [float(v) for v in red]
-                else:
-                    for i, grp in enumerate(groups):
-                        if len(grp) == 1:
-                            red = yield from allreduce_sum(
-                                grp[0], tag=tag + 2 * i
-                            )
-                            rendered.append(float(red))
-                        else:
-                            red = yield from allreduce_vec(
-                                np.array(grp), tag=tag + 2 * i
-                            )
-                            rendered.extend(float(v) for v in red)
-                yield Compute(2.0 * nel)
-            out = []
-            pos = 0
-            for label in labels:
-                if self.abft:
-                    out.append(
-                        decode_dot(np.array(rendered[pos:pos + 2]), label)
-                    )
-                    pos += 2
-                else:
-                    out.append(rendered[pos])
-                    pos += 1
-            if self.abft and check is not None:
-                w_total = decode_dot(
-                    np.array(rendered[pos:pos + 2]), "sum(A u)"
-                )
-                cs_total = decode_dot(
-                    np.array(rendered[pos + 2:pos + 4]), "colsum·u"
-                )
-                acs_total = decode_dot(
-                    np.array(rendered[pos + 4:pos + 6]), "|colsum|·|u|"
-                )
-                tol = self.abft_rtol * (abs(acs_total) + 1.0)
-                if not np.isfinite(w_total) or abs(w_total - cs_total) > tol:
-                    raise AbftChecksumError(
-                        f"halo SpMV checksum mismatch: sum(A u) = "
-                        f"{w_total!r} but column checksums predict "
-                        f"{cs_total!r} (tolerance {tol:.3e})"
-                    )
-            return out
-
-        def apply_precond(r_local):
-            """u = M^-1 r.  Returns (u_local, u_full_or_None)."""
-            if self.precond == "none":
-                return r_local.copy(), None
-            if self.precond == "jacobi":
-                u = inv_d * r_local
-                yield Compute(float(r_local.size))
-                return u, None
-            blocks = yield from allgather(r_local)
-            r_full = assemble(blocks)
-            t0 = time.perf_counter()
-            z_full = self.mg.solve(r_full)
-            phase["mg"] += time.perf_counter() - t0
-            yield Compute(self.mg.flops_per_apply)
-            return z_full[rows], z_full
-
-        def precond_matvec(u_local, u_full):
-            """w = A u, via halo exchange unless u is already replicated."""
-            if u_full is not None:
-                full = u_full
-            elif size > 1:
-                full = yield from exchange(u_local)
-            else:
-                full = np.zeros(self.n)
-                full[rows] = u_local
-            w = matvec(full)
-            yield Compute(2.0 * local_nnz)
-            return w
-
-        rollbacks = 0
-        audits_done = 0
-        checkpoints_published = 0
-        last_snap: Optional[Dict[str, Any]] = None
-
-        def snapshot(k):
-            return {
-                "k": k,
-                "x": x.copy(),
-                "r": r.copy(),
-                "p": p.copy(),
-                "s": s.copy(),
-                "gamma": gamma,
-                "alpha": alpha,
-                "residuals": list(residuals),
-                "iterations": iterations,
-                "bnorm": bnorm,
-                "alphas": list(alphas),
-                "betas": list(betas),
-                "gammas": list(gammas),
-            }
-
-        extras: Dict[str, Any] = {
-            "precond": self.precond,
-            "fused": self.fused,
-            "reproducible": self.reproducible,
-            "abft": self.abft,
-            "grid": layout.grid,
-            "halo": {
-                "neighbors": len(plan),
-                "faces": sum(e["kind"] == "face" for e in plan),
-                "edges": sum(e["kind"] == "edge" for e in plan),
-                "corners": sum(e["kind"] == "corner" for e in plan),
-                "words_per_exchange": halo_words,
-                "reliable": self.reliable,
-            },
-            "mg_depth": self.mg.depth if self.mg is not None else 0,
-            "mg_flops_per_apply": (
-                self.mg.flops_per_apply if self.mg is not None else 0.0
-            ),
-        }
-
-        def finish(converged, iterations):
-            extras["alphas"] = alphas
-            extras["betas"] = betas
-            extras["gammas"] = gammas
-            extras["phase_seconds"] = dict(phase)
-            extras["resilience"] = {
-                "rollbacks": rollbacks,
-                "audits": audits_done,
-                "checkpoints_published": checkpoints_published,
-                "restarted_from": restarted_from,
-                "telemetry": dict(ep.telemetry) if ep is not None else {},
-                "fault_stats": (
-                    fplan.stats.as_dict() if fplan is not None else {}
-                ),
-            }
-            return x, residuals, converged, iterations, extras
-
-        # ---------------- initial state (fresh or restarted) ----------- #
-        if self.restart is not None:
-            k0, snaps = self.restart
-            snap = snaps[rank]
-            if snap["k"] != k0:  # pragma: no cover - driver invariant
-                raise ValueError("restart snapshot iteration mismatch")
-            x = snap["x"].copy()
-            r = snap["r"].copy()
-            p = snap["p"].copy()
-            s = snap["s"].copy()
-            gamma, alpha = snap["gamma"], snap["alpha"]
-            residuals = list(snap["residuals"])
-            alphas = list(snap.get("alphas", []))
-            betas = list(snap.get("betas", []))
-            gammas = list(snap.get("gammas", []))
-            iterations = snap["iterations"]
-            bnorm = snap["bnorm"]
-            k = k0
-            last_snap = snapshot(k)
-            restarted_from: Optional[int] = k0
-        else:
-            x = self.x_start[rows].copy()
-            if np.any(self.x_start):
-                blocks = yield from allgather(x)
-                ax = matvec(assemble(blocks))
-                yield Compute(2.0 * local_nnz)
-                r = bb - ax
-            else:
-                r = bb.copy()
-            u, u_full = yield from apply_precond(r)
-            w = yield from precond_matvec(u, u_full)
-            gamma, delta, rnorm2, bnorm2 = yield from reduce_dots(
-                [(r, u), (w, u), (r, r), (bb, bb)],
-                ("r·u", "w·u", "r·r", "b·b"),
-                check=(w, u),
-            )
-            bnorm = float(np.sqrt(bnorm2))
-            residuals = [float(np.sqrt(max(0.0, rnorm2)))]
-            alphas = []
-            betas = []
-            gammas = [gamma]
-            iterations = 0
-            k = 0
-            restarted_from = None
-            if crit.satisfied(residuals[-1], bnorm):
-                alpha = 0.0
-                p = u.copy()
-                s = w.copy()
-                return finish(True, 0)
-            if delta == 0.0:
-                alpha = 0.0
-                p = u.copy()
-                s = w.copy()
-                return finish(False, 0)
-            alpha = gamma / delta
-            alphas.append(alpha)
-            p = u.copy()
-            s = w.copy()
-            last_snap = snapshot(0)
-            yield Compute(4.0 * x.size)  # checkpoint copy cost (x, r, p, s)
-            yield Checkpoint(iteration=0, payload=last_snap)
-            checkpoints_published += 1
-
-        # ---------------- main loop ------------------------------------ #
-        converged = False
-        while k < maxiter:
-            k += 1
-            if fplan is not None:
-                corr = fplan.take_state_corruption(k, rank)
-                if corr is not None:
-                    target = {"x": x, "r": r, "p": p}[corr.target]
-                    if target.size:
-                        i = fplan.draw_index(target.size)
-                        target[i] += (1.0 + abs(target[i])) * corr.scale
-            x += alpha * p
-            r -= alpha * s
-            yield Compute(4.0 * r.size)
-            u, u_full = yield from apply_precond(r)
-            w = yield from precond_matvec(u, u_full)
-            gamma_new, delta, rnorm2 = yield from reduce_dots(
-                [(r, u), (w, u), (r, r)],
-                ("r·u", "w·u", "r·r"),
-                check=(w, u),
-            )
-            residuals.append(float(np.sqrt(max(0.0, rnorm2))))
-            gammas.append(gamma_new)
-            iterations = k
-            stopping = crit.satisfied(residuals[-1], bnorm)
-            need_ckpt = k % self.checkpoint_interval == 0
-            if stopping or need_ckpt or k % self.sanity_interval == 0:
-                # sanity audit: recompute ||b - A x|| from scratch; every
-                # rank sees the same reduced values, so all roll back (or
-                # none do) without further coordination
-                audits_done += 1
-                x_blocks = yield from allgather(x, tag=21)
-                ax = matvec(assemble(x_blocks))
-                yield Compute(2.0 * local_nnz)
-                d = bb - ax
-                (true2,) = yield from reduce_dots([(d, d)], ("audit",),
-                                                  tag=23)
-                yield Compute(2.0 * d.size)
-                true_norm = float(np.sqrt(max(0.0, true2)))
-                if abs(true_norm - residuals[-1]) > self.sanity_rtol * max(
-                    bnorm, 1.0e-300
-                ):
-                    rollbacks += 1
-                    if rollbacks > self.max_restarts:
-                        raise RecoveryExhaustedError(
-                            f"rank {rank}: sanity audit failed at iteration "
-                            f"{k} (recurrence {residuals[-1]:.3e} vs true "
-                            f"{true_norm:.3e}) after "
-                            f"{rollbacks - 1} rollbacks",
-                            attempts=[{
-                                "outcome": "audit_rollback_exhausted",
-                                "rank": rank,
-                                "iteration": k,
-                                "rollbacks": rollbacks - 1,
-                            }],
-                        )
-                    snap = last_snap
-                    x = snap["x"].copy()
-                    r = snap["r"].copy()
-                    p = snap["p"].copy()
-                    s = snap["s"].copy()
-                    gamma, alpha = snap["gamma"], snap["alpha"]
-                    residuals = list(snap["residuals"])
-                    alphas = list(snap["alphas"])
-                    betas = list(snap["betas"])
-                    gammas = list(snap["gammas"])
-                    iterations = snap["iterations"]
-                    k = snap["k"]
-                    yield Compute(4.0 * x.size)  # restore copy cost
-                    continue
-            if stopping:
-                converged = True
-                break
-            beta = gamma_new / gamma
-            denom = delta - beta * gamma_new / alpha
-            if denom == 0.0:
-                break
-            alpha = gamma_new / denom
-            gamma = gamma_new
-            betas.append(beta)
-            alphas.append(alpha)
-            p = u + beta * p
-            s = w + beta * s
-            yield Compute(4.0 * r.size)
-            if need_ckpt:
-                last_snap = snapshot(k)
-                yield Compute(4.0 * x.size)  # checkpoint copy cost
-                yield Checkpoint(iteration=k, payload=last_snap)
-                checkpoints_published += 1
-        return finish(converged, iterations)
+    def _layout_at(self, size: int) -> Grid3DBlock:
+        if isinstance(self.layout, Grid3DBlock) \
+                and self.layout.nprocs == size:
+            return self.layout
+        return self.default_layout(size)

@@ -19,10 +19,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend.faulty import FaultInjectingProgram, SlowdownProgram
-from ..backend.process import ProcessBackend
-from ..backend.solve import make_backend, run_with_recovery
-from ..core.resilience import ResilienceConfig, latest_complete_checkpoint
+from ..backend.solve import _resilient_solve, make_backend
+from ..core.resilience import ResilienceConfig
 from ..core.result import ConvergenceHistory, SolveResult
 from ..core.stopping import StoppingCriterion
 from ..hpf.distribution import Grid3DBlock
@@ -147,103 +145,32 @@ def hpcg_solve(
         matrix = stencil27(nx, ny, nz)
     if b is None:
         b = rhs_for_solution(matrix, np.ones(matrix.nrows))
+    options = dict(
+        x0=x0, criterion=criterion, maxiter=maxiter, precond=precond,
+        fused=fused, reproducible=reproducible, mg_levels=mg_levels, grid=grid,
+    )
+
+    def assemble(run, program):
+        return assemble_hpcg_result(
+            run, matrix.nrows, program._layout_at(len(run.results)))
+
     plain = (
         faults is None and resilience is None and policy == "respawn"
         and not abft and store is None
     )
     if plain:
-        program = HPCGRankProgram(
-            matrix,
-            b,
-            shape,
-            x0=x0,
-            criterion=criterion,
-            maxiter=maxiter,
-            precond=precond,
-            fused=fused,
-            reproducible=reproducible,
-            mg_levels=mg_levels,
-            grid=grid,
-        )
+        program = HPCGRankProgram(matrix, b, shape, **options)
         be = make_backend(backend, **backend_kwargs)
-        run = be.run(program, nprocs)
-        layout = Grid3DBlock(shape, nprocs, grid=grid)
-        return assemble_hpcg_result(run, matrix.nrows, layout)
+        return assemble(be.run(program, nprocs), program)
 
     if policy not in ("respawn", "shrink"):
         raise ValueError(
             f"hpcg recovery supports the 'respawn' and 'shrink' policies, "
             f"not {policy!r} (rebalancing would break the subcube halo)"
         )
-    cfg = resilience or ResilienceConfig()
-    plan = faults.clone() if faults is not None else None
-    message_faults = plan is not None and plan.message_faults_enabled
-    program = ResilientHPCGProgram(
-        matrix,
-        b,
-        shape,
-        x0=x0,
-        criterion=criterion,
-        maxiter=maxiter,
-        precond=precond,
-        fused=fused,
-        reproducible=reproducible,
-        mg_levels=mg_levels,
-        grid=grid,
-        checkpoint_interval=cfg.checkpoint_interval,
-        sanity_interval=cfg.sanity_interval,
-        sanity_rtol=cfg.sanity_rtol,
-        max_restarts=cfg.max_restarts,
-        faults=plan,  # state corruptions; rank-local derivation inside
-        reliable=message_faults,
-        reliable_config=cfg.reliable,
-        abft=abft,
+    return _resilient_solve(
+        lambda **guard: ResilientHPCGProgram(
+            matrix, b, shape, abft=abft, **options, **guard),
+        assemble, backend, backend_kwargs, nprocs, faults, resilience, store,
+        policy, min_ranks,
     )
-    runnable = (
-        FaultInjectingProgram(program, plan) if message_faults else program
-    )
-    substrate_share = plan.substrate_plan() if plan is not None else None
-    if isinstance(backend, str):
-        kwargs: Dict[str, Any] = dict(backend_kwargs)
-        kwargs["faults"] = substrate_share
-        be = make_backend(backend, **kwargs)
-    else:
-        be = backend
-    if (
-        isinstance(be, ProcessBackend)
-        and plan is not None
-        and plan.slowdown_schedule()
-    ):
-        runnable = SlowdownProgram(runnable, plan.slowdown_schedule())
-    store = {} if store is None else store
-    latest = latest_complete_checkpoint(store, nprocs)
-    if latest is not None:
-        # a durable store outlives the driver: resume from the newest
-        # complete checkpoint the previous (killed) process published
-        program.restart = latest
-    run = run_with_recovery(
-        be, runnable, nprocs,
-        max_restarts=cfg.max_restarts,
-        store=store, policy=policy, min_ranks=min_ranks,
-    )
-    n_final = len(run.results)
-    layout = (
-        program.layout
-        if isinstance(program.layout, Grid3DBlock)
-        and program.layout.nprocs == n_final
-        else program.default_layout(n_final)
-    )
-    result = assemble_hpcg_result(run, matrix.nrows, layout)
-    result.extras["recovery"] = dict(run.recovery)
-    hpcg_extras = run.results[0][4] if run.results else {}
-    result.extras["resilience"] = dict(hpcg_extras.get("resilience", {}))
-    injected: Dict[str, Any] = {}
-    for res in run.results:
-        per_rank = (res[4] or {}).get("injected_faults") or {}
-        for key, value in per_rank.items():
-            if isinstance(value, (int, float)):
-                injected[key] = injected.get(key, 0) + value
-            else:
-                injected.setdefault(key, []).extend(value)
-    result.extras["injected_faults"] = injected
-    return result

@@ -96,6 +96,23 @@ def test_support_probe_shape():
     assert not ok2 and "no-such-method" in detail2
 
 
+def test_support_probe_refuses_non_posix_host(monkeypatch):
+    """The transport is pipes + select.poll + an unlinked shared mapping:
+    the probe must say no up front instead of failing inside Fabric."""
+    import select
+
+    # patches are undone before asserting: pytest's own failure report
+    # builds pathlib paths, which a patched os.name would break
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "name", "nt")
+        ok, detail = process_backend_support()
+    assert not ok and "POSIX" in detail
+    with monkeypatch.context() as patched:
+        patched.delattr(select, "poll")
+        ok, detail = process_backend_support()
+    assert not ok and "select.poll" in detail
+
+
 @needs_process
 def test_echo_ring_and_stats_mirror():
     run = ProcessBackend(timeout=30.0).run(EchoProgram(), nprocs=4)

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backend.solve import backend_solve
 from repro.backend.store import DurableCheckpointStore, _record_name
-from repro.core.resilience import latest_complete_checkpoint
+from repro.core.resilience import ResilienceConfig, latest_complete_checkpoint
+from repro.sparse.generators import poisson2d, rhs_for_solution
 
 
 def _materialize(store):
@@ -234,3 +236,34 @@ def test_live_view_publishes_immediately(tmp_path):
     assert sorted(other[7]) == [0]
     view[1] = _snap(1, 7)
     assert sorted(DurableCheckpointStore(root, fsync=False)[7]) == [0, 1]
+
+
+@pytest.mark.parametrize("first_fused", [False, True])
+def test_checkpoint_of_other_recurrence_is_refused_by_name(
+        tmp_path, first_fused):
+    """A durable directory outlives the flags of the run that wrote it.
+    Resuming a classic checkpoint with ``fused=True`` (or the reverse)
+    used to die with a bare ``KeyError: 's'``; it must be a ValueError
+    naming the writer, the reader and the missing keys."""
+    A = poisson2d(8)
+    b = rhs_for_solution(A, np.ones(A.nrows))
+    root = str(tmp_path / "ckpt")
+
+    def solve(fused, store):
+        return backend_solve(
+            "cg", A, b, nprocs=4, fused=fused, store=store,
+            resilience=ResilienceConfig(checkpoint_interval=5))
+
+    assert solve(first_fused, DurableCheckpointStore(root)).converged
+    wrote, reads = (("fused", "classic") if first_fused
+                    else ("classic", "fused"))
+    with pytest.raises(ValueError) as err:
+        solve(not first_fused, DurableCheckpointStore(root))  # reopened
+    message = str(err.value)
+    assert f"written by the {wrote}" in message
+    assert f"resume the {reads}" in message
+    assert ("'rho'" if first_fused else "'s'") in message
+    # the matching recurrence still resumes from the same directory
+    again = solve(first_fused, DurableCheckpointStore(root))
+    assert again.converged
+    assert again.extras["resilience"]["restarted_from"] is not None
