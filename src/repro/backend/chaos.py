@@ -31,6 +31,7 @@ exists to surface.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
@@ -49,7 +50,6 @@ from .abft import AbftChecksumError
 from .base import (
     BackendTimeoutError,
     WorkerCrashedError,
-    WorkerFailedError,
 )
 from .process import ProcessBackend
 from .simulated import SimulatedBackend
@@ -61,6 +61,7 @@ __all__ = [
     "chaos_run",
     "chaos_sweep",
     "classify_failure",
+    "is_retryable",
     "format_report",
     "CHAOS_BACKENDS",
     "CHAOS_SCENARIOS",
@@ -79,7 +80,13 @@ _STENCIL_SHAPE = (6, 6, 6)
 CONVERGED = "converged"
 #: converged on fewer ranks than it started with (a shrink happened)
 DEGRADED = "degraded"
-_FAILURE_LABELS = {
+#: the one failure table, ``exception name -> outcome label``, with two
+#: readers: :func:`classify_failure` reads the label, and being listed is
+#: what makes a failure an infrastructure fault worth re-running
+#: (:func:`is_retryable`) -- so a fault cannot be classified on one backend
+#: and refused a retry on the other.  Names, not classes: the process
+#: backend delivers a worker-side exception as text.
+FAILURE_LABELS = {
     "RecoveryExhaustedError": "recovery_exhausted",
     "AbftChecksumError": "abft_detected",
     "RankFailedError": "rank_failed",
@@ -88,7 +95,12 @@ _FAILURE_LABELS = {
     "BackendTimeoutError": "timeout",
     "RecvTimeoutError": "timeout",
     "DeadlockError": "deadlock",
+    "WorkerFailedError": "worker_failed",
 }
+
+#: ``_run_rank`` heads a worker's ``err`` payload with ``"TypeName: msg"``
+#: and the parent prefixes one ``"rank r failed on ...:"`` line
+_WORKER_SIDE_TYPE = re.compile(r":\n(\w+): ")
 
 
 def _chaos_problem(n: int):
@@ -106,19 +118,36 @@ def classify_failure(exc: BaseException) -> Optional[str]:
     worker-side exception name, so classification falls back to scanning
     the message for the known types before giving up.
     """
-    for cls_name, label in _FAILURE_LABELS.items():
-        if type(exc).__name__ == cls_name:
-            return label
-    for base in type(exc).__mro__:
-        if base.__name__ in _FAILURE_LABELS:
-            return _FAILURE_LABELS[base.__name__]
-    if isinstance(exc, WorkerFailedError):
+    name = _table_name(exc)
+    if name == "WorkerFailedError":
         text = str(exc)
-        for cls_name, label in _FAILURE_LABELS.items():
+        for cls_name, label in FAILURE_LABELS.items():
             if cls_name in text:
                 return label
-        return "worker_failed"
+    return FAILURE_LABELS.get(name)
+
+
+def _table_name(exc: BaseException) -> Optional[str]:
+    """The table entry for ``exc``'s type or its nearest listed base."""
+    for base in type(exc).__mro__:
+        if base.__name__ in FAILURE_LABELS:
+            return base.__name__
     return None
+
+
+def is_retryable(exc: BaseException) -> bool:
+    """True when ``exc`` is an infrastructure failure worth re-running.
+
+    A listed failure is; a bare ``WorkerFailedError`` is judged by the
+    worker-side type it relays -- a ``ValueError`` from bad input fails
+    identically on every attempt whichever backend raised it -- and stays
+    retryable when it relays none (a worker that died without reporting).
+    """
+    name = _table_name(exc)
+    if name == "WorkerFailedError":
+        relayed = _WORKER_SIDE_TYPE.search(str(exc))
+        return relayed is None or relayed.group(1) in FAILURE_LABELS
+    return name is not None
 
 
 @dataclass

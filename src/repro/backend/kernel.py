@@ -42,7 +42,6 @@ from .reproducible import (
 
 __all__ = [
     "csr_arrays",
-    "local_spmv",
     "RankProgramBase",
     "Collectives",
     "Reducer",
@@ -57,18 +56,6 @@ def csr_arrays(matrix):
     """Normalise any accepted matrix into CSR ``(n, indptr, indices, data)``."""
     A = as_matrix(matrix).to_csr()
     return A.nrows, A.indptr, A.indices, A.data
-
-
-def local_spmv(row_ids, indices, data, v_full, nrows: int) -> np.ndarray:
-    """Rows of ``A @ v_full`` from expanded-row CSR pieces.
-
-    The one local SpMV of every rank program.  With sorted ``row_ids`` the
-    scatter-add sums each row left to right from zero, so the result does
-    not depend on how the rows were partitioned.
-    """
-    out = np.zeros(nrows)
-    np.add.at(out, row_ids, data * v_full[indices])
-    return out
 
 
 class RankProgramBase:

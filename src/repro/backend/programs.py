@@ -31,6 +31,7 @@ from ..machine.faults import FaultPlan
 from ..machine.reliable import ReliableConfig
 from ..core.preconditioners import JacobiPreconditioner
 from ..core.stopping import StoppingCriterion
+from ..sparse.kernels import CompressedBlock
 from .abft import check_matvec
 from .kernel import (
     Collectives,
@@ -41,7 +42,6 @@ from .kernel import (
     classic_cg,
     csr_arrays,
     jacobi,
-    local_spmv,
 )
 
 __all__ = [
@@ -62,31 +62,26 @@ class RowBlockOperator:
     """``A v`` on a contiguous row block: allgather, concatenate, local SpMV.
 
     Every product replicates its operand, so the iteration product and the
-    from-scratch one differ only in the tag.  The CSR segment is held as
-    *views* of the program's arrays; a per-rank copy would cost
-    ``16 nnz / P`` bytes of resident memory for nothing.
+    from-scratch one differ only in the tag.  The kernel handle holds the
+    CSR segment as *views* of the program's arrays; a per-rank copy would
+    cost ``16 nnz / P`` bytes of resident memory for nothing.
     """
 
     def __init__(self, program, dist, rank: int, comm: Collectives):
         lo, hi = dist.local_range(rank)
-        indptr = program.indptr
-        seg = slice(int(indptr[lo]), int(indptr[hi]))
         self.program = program
         self.comm = comm
         self.rows = slice(lo, hi)
-        self.indices = program.indices[seg]
-        self.data = program.data[seg]
-        self.row_ids = np.repeat(np.arange(hi - lo, dtype=np.int64),
-                                 np.diff(indptr[lo : hi + 1]))
-        self.flops = 2.0 * int(indptr[hi] - indptr[lo])
+        self.block = CompressedBlock(program.indptr, program.indices,
+                                     program.data, lo, hi)
+        self.flops = 2.0 * self.block.nnz
         #: replicated operand of the latest product (ABFT verifies on it)
         self.operand: Optional[np.ndarray] = None
 
     def apply(self, v, tag: int = 7):
         blocks = yield from self.comm.allgather(v, tag=tag)
         self.operand = np.concatenate(blocks)
-        w = local_spmv(self.row_ids, self.indices, self.data, self.operand,
-                       self.rows.stop - self.rows.start)
+        w = self.block.matvec(self.operand)
         yield Compute(self.flops)
         return w
 

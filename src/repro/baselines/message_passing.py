@@ -41,6 +41,7 @@ from ..machine.machine import Machine
 from ..machine.reliable import ReliableConfig, ReliableEndpoint
 from ..machine.scheduler import Scheduler
 from ..sparse.convert import as_matrix
+from ..sparse.kernels import CompressedBlock
 from ..core.resilience import (
     RecoveryExhaustedError,
     ResilienceConfig,
@@ -164,18 +165,9 @@ def _run_resilient(
     def program(rank: int, size: int):
         ep = ReliableEndpoint(rank, rcfg, telemetry=telemetry)
         lo, hi = dist.local_range(rank)
-        seg = slice(int(indptr[lo]), int(indptr[hi]))
+        matvec = CompressedBlock(indptr, indices, data, lo, hi).matvec
         local_nnz = int(indptr[hi] - indptr[lo])
-        row_ids = (
-            np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1]))
-            - lo
-        )
         bb = b[lo:hi].copy()
-
-        def matvec(v_full):
-            out = np.zeros(hi - lo)
-            np.add.at(out, row_ids, data[seg] * v_full[indices[seg]])
-            return out
 
         def fresh_state():
             x = x_start[lo:hi].copy()

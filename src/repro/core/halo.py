@@ -25,6 +25,7 @@ from typing import Dict, List
 import numpy as np
 
 from ..hpf.distribution import Block, Distribution
+from ..sparse.kernels import CompressedBlock
 from .matvec import MatvecStrategy
 
 __all__ = ["CsrHalo"]
@@ -46,7 +47,12 @@ class CsrHalo(MatvecStrategy):
         self.csr = self.matrix.to_csr()
         self._dist = Block(self.n, machine.nprocs)
         nprocs = machine.nprocs
-        indptr, indices = self.csr.indptr, self.csr.indices
+        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        #: one kernel handle per rank over its row block (views)
+        self._blocks = [
+            CompressedBlock(indptr, indices, data, *self._dist.local_range(r))
+            for r in range(nprocs)
+        ]
         #: forward halo: _recv_counts[dst][src] = words dst fetches from src
         self._recv_counts: List[Dict[int, int]] = [dict() for _ in range(nprocs)]
         self._local_nnz = np.zeros(nprocs, dtype=np.int64)
@@ -111,19 +117,8 @@ class CsrHalo(MatvecStrategy):
         self._check_vectors(p, q)
         self._charge_halo(self._recv_counts, tag)
         p_full = p.to_global()  # locals + freshly exchanged shadow
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        for r in range(self.machine.nprocs):
-            lo, hi = self._dist.local_range(r)
-            seg = slice(indptr[lo], indptr[hi])
-            rows = (
-                np.repeat(
-                    np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo:hi + 1])
-                )
-                - lo
-            )
-            local_q = np.zeros(hi - lo)
-            np.add.at(local_q, rows, data[seg] * p_full[indices[seg]])
-            q.local(r)[:] = local_q
+        for r, block in enumerate(self._blocks):
+            q.local(r)[:] = block.matvec(p_full)
             self.machine.charge_compute(r, 2.0 * float(self._local_nnz[r]))
 
     def apply_transpose(self, x, y, tag: str = "matvec_T") -> None:
@@ -136,14 +131,11 @@ class CsrHalo(MatvecStrategy):
             for src, cnt in sources.items():
                 reverse[src][dst] = cnt
         self._charge_halo(reverse, tag)
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        x_full = x.to_global()
-        total = np.zeros(self.n)
-        rows = self.csr.expanded_rows()
-        np.add.at(total, indices, data * x_full[rows])
+        # one storage-order scatter over the whole matrix: the partial sums
+        # meet at their owner in row order
+        total = self.csr.rmatvec(x.to_global())
         for r in range(self.machine.nprocs):
             y.local(r)[:] = total[self._dist.local_indices_cached(r)]
-            lo, hi = self._dist.local_range(r)
             self.machine.charge_compute(r, 2.0 * float(self._local_nnz[r]))
 
     def storage_words_per_rank(self) -> np.ndarray:

@@ -46,6 +46,7 @@ from ..hpf.intrinsics import sum_private_copies
 from ..sparse.convert import as_matrix
 from ..sparse.csc import CSCMatrix
 from ..sparse.csr import CSRMatrix
+from ..sparse.kernels import CompressedBlock
 
 __all__ = [
     "MatvecStrategy",
@@ -320,33 +321,22 @@ class CsrForall(MatvecStrategy):
         self._row_ranges = [
             self._dist.local_range(r) for r in range(machine.nprocs)
         ]
+        #: one kernel handle per rank over its rows (views of the CSR trio)
+        self._blocks = [
+            CompressedBlock(self.csr.indptr, self.csr.indices, self.csr.data, lo, hi)
+            for lo, hi in self._row_ranges
+        ]
 
     def vector_distribution(self) -> Distribution:
         return self._dist
-
-    def _row_nnz(self, rank: int) -> int:
-        lo, hi = self._row_ranges[rank]
-        return int(self.csr.indptr[hi] - self.csr.indptr[lo])
 
     def apply(self, p: DistributedArray, q: DistributedArray, tag: str = "matvec") -> None:
         self._check_vectors(p, q)
         p_full = p.gather_to_all(tag=tag)  # same broadcast as Scenario 1
         self.binding.charge_prefetch(tag=tag)  # CSR's extra communication
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        for r in range(self.machine.nprocs):
-            lo, hi = self._row_ranges[r]
-            seg = slice(indptr[lo], indptr[hi])
-            contrib = data[seg] * p_full[indices[seg]]
-            rows = (
-                np.repeat(
-                    np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-                )
-                - lo
-            )
-            local_q = np.zeros(hi - lo)
-            np.add.at(local_q, rows, contrib)
-            q.local(r)[:] = local_q
-            self.machine.charge_compute(r, 2.0 * contrib.size)
+        for r, block in enumerate(self._blocks):
+            q.local(r)[:] = block.matvec(p_full)
+            self.machine.charge_compute(r, 2.0 * block.nnz)
 
     def apply_transpose(
         self, x: DistributedArray, y: DistributedArray, tag: str = "matvec_T"
@@ -361,17 +351,12 @@ class CsrForall(MatvecStrategy):
         """
         self._check_vectors(x, y)
         self.binding.charge_prefetch(tag=tag)
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
         region = PrivateRegion(self.machine, self.n, merge="+")
-        for r in range(self.machine.nprocs):
-            lo, hi = self._row_ranges[r]
-            seg = slice(indptr[lo], indptr[hi])
-            rows = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-            )
-            contrib = data[seg] * x.local(r)[rows - lo]
-            np.add.at(region.local(r), indices[seg], contrib)
-            self.machine.charge_compute(r, 2.0 * contrib.size)
+        for r, block in enumerate(self._blocks):
+            # the private copy starts at zero, so assigning the kernel's
+            # from-zero scatter is the accumulation
+            region.local(r)[:] = block.rmatvec(x.local(r), self.n)
+            self.machine.charge_compute(r, 2.0 * block.nnz)
         region.merge_into(y, tag=tag)
 
     def nonlocal_element_words(self) -> float:
@@ -406,6 +391,11 @@ class CscSerial(MatvecStrategy):
         super().__init__(machine, matrix)
         self.csc: CSCMatrix = self.matrix.to_csc()
         self._dist = Block(self.n, machine.nprocs)
+        #: the whole matrix: the serial loop is not cut by rank, and a
+        #: column's dot product does not depend on where it would be cut
+        self._block = CompressedBlock(
+            self.csc.indptr, self.csc.indices, self.csc.data
+        )
 
     def vector_distribution(self) -> Distribution:
         return self._dist
@@ -413,11 +403,9 @@ class CscSerial(MatvecStrategy):
     def apply(self, p: DistributedArray, q: DistributedArray, tag: str = "matvec") -> None:
         self._check_vectors(p, q)
         nprocs = self.machine.nprocs
-        indptr, indices, data = self.csc.indptr, self.csc.indices, self.csc.data
+        indices, cols = self._block.indices, self._block.major
         p_full = p.to_global()  # p(j) is local to column j's owner
-        total = np.zeros(self.n)
-        cols = self.csc.expanded_cols()
-        np.add.at(total, indices, data * p_full[cols])
+        total = self._block.rmatvec(p_full, self.n)
         # serialised compute: 2 flops per nonzero, one rank at a time
         flops = np.zeros(nprocs)
         col_owner_all = self._dist.owners(cols)
@@ -449,19 +437,11 @@ class CscSerial(MatvecStrategy):
         """``y = A^T x`` under CSC is the easy gather direction."""
         self._check_vectors(x, y)
         x_full = x.gather_to_all(tag=tag)
-        indptr, indices, data = self.csc.indptr, self.csc.indices, self.csc.data
+        indptr = self.csc.indptr
+        total = self._block.matvec(x_full)
         for r in range(self.machine.nprocs):
             lo, hi = self._dist.local_range(r)
-            seg = slice(indptr[lo], indptr[hi])
-            cols = (
-                np.repeat(
-                    np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-                )
-                - lo
-            )
-            local_y = np.zeros(hi - lo)
-            np.add.at(local_y, cols, data[seg] * x_full[indices[seg]])
-            y.local(r)[:] = local_y
+            y.local(r)[:] = total[lo:hi]
             self.machine.charge_compute(r, 2.0 * (indptr[hi] - indptr[lo]))
 
     def storage_words_per_rank(self) -> np.ndarray:
@@ -502,28 +482,29 @@ class CscPrivateMerge(MatvecStrategy):
             self.column_cuts = block.boundaries()
             self._dist = block
         self.mapping = OnProcessor.from_boundaries(self.column_cuts)
+        #: one kernel handle per rank over its column chunk (views)
+        self._blocks = [
+            CompressedBlock(
+                self.csc.indptr, self.csc.indices, self.csc.data,
+                int(self.column_cuts[r]), int(self.column_cuts[r + 1]),
+            )
+            for r in range(nprocs)
+        ]
 
     def vector_distribution(self) -> Distribution:
         return self._dist
 
     def _col_nnz(self, rank: int) -> int:
-        lo, hi = int(self.column_cuts[rank]), int(self.column_cuts[rank + 1])
-        return int(self.csc.indptr[hi] - self.csc.indptr[lo])
+        return self._blocks[rank].nnz
 
     def apply(self, p: DistributedArray, q: DistributedArray, tag: str = "matvec") -> None:
         self._check_vectors(p, q)
-        indptr, indices, data = self.csc.indptr, self.csc.indices, self.csc.data
         region = PrivateRegion(self.machine, self.n, merge="+")
-        for r in range(self.machine.nprocs):
-            lo, hi = int(self.column_cuts[r]), int(self.column_cuts[r + 1])
-            seg = slice(indptr[lo], indptr[hi])
-            cols = np.repeat(
-                np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-            )
-            # p(j) for the rank's own columns: local reads only
-            contrib = data[seg] * p.local(r)[cols - lo]
-            np.add.at(region.local(r), indices[seg], contrib)
-            self.machine.charge_compute(r, 2.0 * contrib.size)
+        for r, block in enumerate(self._blocks):
+            # p(j) for the rank's own columns: local reads only; the private
+            # copy starts at zero, so the from-zero scatter is assigned
+            region.local(r)[:] = block.rmatvec(p.local(r), self.n)
+            self.machine.charge_compute(r, 2.0 * block.nnz)
         region.merge_into(q, tag=tag)
 
     def apply_transpose(
@@ -532,20 +513,9 @@ class CscPrivateMerge(MatvecStrategy):
         """``y = A^T x``: gather x, per-column dot products, all local writes."""
         self._check_vectors(x, y)
         x_full = x.gather_to_all(tag=tag)
-        indptr, indices, data = self.csc.indptr, self.csc.indices, self.csc.data
-        for r in range(self.machine.nprocs):
-            lo, hi = int(self.column_cuts[r]), int(self.column_cuts[r + 1])
-            seg = slice(indptr[lo], indptr[hi])
-            cols = (
-                np.repeat(
-                    np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-                )
-                - lo
-            )
-            local_y = np.zeros(hi - lo)
-            np.add.at(local_y, cols, data[seg] * x_full[indices[seg]])
-            y.local(r)[:] = local_y
-            self.machine.charge_compute(r, 2.0 * (indptr[hi] - indptr[lo]))
+        for r, block in enumerate(self._blocks):
+            y.local(r)[:] = block.matvec(x_full)
+            self.machine.charge_compute(r, 2.0 * block.nnz)
 
     def per_rank_nnz(self) -> np.ndarray:
         """Nonzeros (work) per rank -- the load-balance diagnostic."""

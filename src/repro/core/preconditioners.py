@@ -116,6 +116,9 @@ class SSORPreconditioner(Preconditioner):
         self._n = n
 
     def solve(self, r: np.ndarray) -> np.ndarray:
+        # imported per call on purpose: stored on the instance it would ride
+        # every pickled multigrid program (the smoother is part of it), and
+        # at module level it would load scipy into every rank process
         from scipy.sparse.linalg import spsolve_triangular
 
         y = spsolve_triangular(self._lower, r, lower=True)

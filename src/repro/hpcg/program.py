@@ -51,7 +51,6 @@ from ..backend.kernel import (
     Reducer,
     chronopoulos_gear_cg,
     jacobi,
-    local_spmv,
 )
 from ..core.preconditioners import JacobiPreconditioner
 from ..core.stopping import StoppingCriterion
@@ -59,6 +58,7 @@ from ..hpf.distribution import Grid3DBlock
 from ..machine.events import Compute, Recv, Send
 from ..machine.faults import FaultPlan, RankFailedError
 from ..machine.reliable import ReliableConfig
+from ..sparse.kernels import CompressedBlock
 from .mg import MultigridPreconditioner
 
 __all__ = [
@@ -167,10 +167,9 @@ class SubcubeOperator:
         np.cumsum(counts, out=lptr[1:])
         offs = (np.repeat(indptr[rows] - lptr[:-1], counts)
                 + np.arange(int(lptr[-1]), dtype=np.int64))
-        self.indices = program.indices[offs]
-        self.data = program.data[offs]
-        self.row_ids = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
-        self.flops = 2.0 * int(lptr[-1])
+        self.block = CompressedBlock(lptr, program.indices[offs],
+                                     program.data[offs])
+        self.flops = 2.0 * self.block.nnz
         self.plan = (
             halo_plan(layout, rank)
             if program.precond != "mg" and comm.size > 1 else []
@@ -196,8 +195,7 @@ class SubcubeOperator:
 
     def _spmv(self, full):
         t0 = time.perf_counter()
-        out = local_spmv(self.row_ids, self.indices, self.data, full,
-                         self.rows.size)
+        out = self.block.matvec(full)
         self.seconds += time.perf_counter() - t0
         yield Compute(self.flops)
         return out

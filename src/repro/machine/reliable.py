@@ -17,19 +17,21 @@ and every ack is a short extra message.  Benchmark E19 reads those numbers
 off the stats to report the overhead of fault tolerance against the
 fault-free run.
 
-The binomial-tree collectives of :mod:`repro.machine.spmd` are mirrored
-here on top of the reliable primitives, so the message-passing CG baseline
-can swap its transport without touching the numerics.
+The binomial-tree collectives of :mod:`repro.machine.spmd` are offered
+here over the reliable primitives -- the same generators, driven by
+:func:`_over_arq` -- so the message-passing CG baseline can swap its
+transport without touching the numerics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import numpy as np
 
-from .events import Op, Recv, Send
+from . import spmd
+from .events import Op, Recv, Send, payload_words
 from .faults import RankFailedError, RecvTimeoutError
 
 __all__ = [
@@ -164,7 +166,7 @@ class ReliableEndpoint:
             yield Send(dest=dest, payload=packet, tag=tag)
             if attempt:
                 self.telemetry["retransmissions"] += 1
-                self.telemetry["retransmitted_words"] += _packet_words(packet)
+                self.telemetry["retransmitted_words"] += payload_words(packet)
             try:
                 while True:
                     ack = yield Recv(source=dest, tag=ack_tag, timeout=timeout)
@@ -228,146 +230,37 @@ class ReliableEndpoint:
             self.telemetry["corrupt_discarded"] += 1
 
 
-def _packet_words(packet: Any) -> float:
-    from .events import payload_words
+def _over_arq(raw_collective: Callable[..., GenOp]) -> Callable[..., GenOp]:
+    """The reliable twin of a raw :mod:`~repro.machine.spmd` collective.
 
-    return payload_words(packet)
-
-
-# ---------------------------------------------------------------------- #
-# collectives over the reliable transport (binomial trees, mirroring
-# repro.machine.spmd so measured structure matches the raw versions)
-# ---------------------------------------------------------------------- #
-def _combine_default(a: Any, b: Any) -> Any:
-    return a + b
-
-
-def bcast(
-    ep: ReliableEndpoint, rank: int, size: int, value: Any,
-    root: int = 0, tag: int = 1,
-) -> GenOp:
-    """Binomial-tree broadcast; returns the broadcast value on every rank."""
-    vrank = (rank - root) % size
-    mask = 1
-    while mask < size:
-        if vrank < mask:
-            partner = vrank + mask
-            if partner < size:
-                yield from ep.send((partner + root) % size, value, tag=tag)
-        elif vrank < 2 * mask:
-            value = yield from ep.recv(((vrank - mask) + root) % size, tag=tag)
-        mask <<= 1
-    return value
-
-
-def reduce_to_root(
-    ep: ReliableEndpoint,
-    rank: int,
-    size: int,
-    value: Any,
-    root: int = 0,
-    op: Callable[[Any, Any], Any] = _combine_default,
-    tag: int = 2,
-) -> GenOp:
-    """Binomial-tree reduction; ``root`` returns the combined value."""
-    vrank = (rank - root) % size
-    mask = 1
-    result = value
-    while mask < size:
-        if vrank & mask:
-            yield from ep.send(((vrank - mask) + root) % size, result, tag=tag)
-            return None
-        partner = vrank + mask
-        if partner < size:
-            other = yield from ep.recv((partner + root) % size, tag=tag)
-            result = op(result, other)
-        mask <<= 1
-    return result if vrank == 0 else None
-
-
-def allreduce_sum(
-    ep: ReliableEndpoint,
-    rank: int,
-    size: int,
-    value: Any,
-    op: Callable[[Any, Any], Any] = _combine_default,
-    tag: int = 3,
-) -> GenOp:
-    """All-reduce: reliable reduce to rank 0, then reliable broadcast."""
-    reduced = yield from reduce_to_root(ep, rank, size, value, root=0, op=op, tag=tag)
-    result = yield from bcast(ep, rank, size, reduced, root=0, tag=tag + 1)
-    return result
-
-
-def allreduce_vec(
-    ep: ReliableEndpoint, rank: int, size: int, values: Any, tag: int = 3
-) -> GenOp:
-    """Batched all-reduce of ``k`` packed scalars over the reliable ARQ.
-
-    Same wire format as :func:`repro.machine.spmd.allreduce_vec` (one flat
-    float64 vector, slot-wise sums), so the fused CG variants pay one
-    acknowledged tree per iteration instead of one per inner product.
+    ``twin(ep, rank, size, ...)`` drives ``raw_collective(rank, size, ...)``
+    and answers each ``Send`` / ``Recv`` it yields with the acknowledged
+    exchange on ``ep`` (same peer, payload and tag), so tree, tags and wire
+    format are the raw ones by construction -- a fused CG still pays one
+    acknowledged :func:`allreduce_vec` tree per iteration.
     """
-    vec = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError(
-            f"allreduce_vec packs a non-empty 1-D scalar vector, got "
-            f"shape {vec.shape}"
-        )
 
-    # inline binomial reduce (same tree as reduce_to_root) so a slot
-    # mismatch can name the rank whose subtree contributed the bad shape
-    mask = 1
-    result = vec
-    while mask < size:
-        if rank & mask:
-            yield from ep.send(rank - mask, result, tag=tag)
-            result = None
-            break
-        partner = rank + mask
-        if partner < size:
-            other = yield from ep.recv(partner, tag=tag)
-            other = np.asarray(other)
-            if other.shape != result.shape:
-                raise ValueError(
-                    f"allreduce_vec slot mismatch: rank {partner} "
-                    f"contributed {other.shape}, rank {rank} expected "
-                    f"{result.shape}"
-                )
-            result = result + other
-        mask <<= 1
-    result = yield from bcast(ep, rank, size, result, root=0, tag=tag + 1)
-    return result
+    def collective(ep: ReliableEndpoint, rank: int, size: int, *args, **kwargs):
+        raw = raw_collective(rank, size, *args, **kwargs)
+        reply = None
+        while True:
+            try:
+                op = raw.send(reply)
+            except StopIteration as done:
+                return done.value
+            if isinstance(op, Send):
+                reply = yield from ep.send(op.dest, op.payload, tag=op.tag)
+            else:
+                reply = yield from ep.recv(op.source, tag=op.tag)
+
+    collective.__name__ = collective.__qualname__ = raw_collective.__name__
+    collective.__doc__ = f"``spmd.{raw_collective.__name__}`` over the ARQ of ``ep``."
+    return collective
 
 
-def gather_to_root(
-    ep: ReliableEndpoint, rank: int, size: int, value: Any,
-    root: int = 0, tag: int = 5,
-) -> GenOp:
-    """Binomial-tree gather; ``root`` returns the full per-rank list."""
-    vrank = (rank - root) % size
-    contributions = {rank: value}
-    mask = 1
-    while mask < size:
-        if vrank & mask:
-            yield from ep.send(
-                ((vrank - mask) + root) % size, contributions, tag=tag
-            )
-            return None
-        partner = vrank + mask
-        if partner < size:
-            sub = yield from ep.recv((partner + root) % size, tag=tag)
-            contributions.update(sub)
-        mask <<= 1
-    if vrank == 0:
-        return [contributions[r] for r in range(size)]
-    return None
-
-
-def allgather(
-    ep: ReliableEndpoint, rank: int, size: int, value: Any, tag: int = 7
-) -> GenOp:
-    """All-to-all broadcast over the reliable transport."""
-    gathered = yield from gather_to_root(ep, rank, size, value, root=0, tag=tag)
-    result = yield from bcast(ep, rank, size, gathered, root=0, tag=tag + 1)
-    return result
+bcast = _over_arq(spmd.bcast)
+reduce_to_root = _over_arq(spmd.reduce_to_root)
+allreduce_sum = _over_arq(spmd.allreduce_sum)
+allreduce_vec = _over_arq(spmd.allreduce_vec)
+gather_to_root = _over_arq(spmd.gather_to_root)
+allgather = _over_arq(spmd.allgather)

@@ -8,9 +8,11 @@ questions left are *which* failures deserve a retry and *when* to issue
 it.
 
 Which: infrastructure failures only -- crashes, stragglers, timeouts,
-worker faults, exhausted in-attempt recovery.  A ``ValueError`` from bad
-input will fail identically on every attempt; retrying it just burns the
-pool.
+worker faults, detected corruption, exhausted in-attempt recovery: the
+rows of :data:`repro.backend.chaos.FAILURE_LABELS`, the table the outcome
+classifier reads too.  A ``ValueError`` from bad input will fail
+identically on every attempt, raised raw or relayed by a worker process;
+retrying it just burns the pool.
 
 When: exponential backoff (``base * multiplier**(attempt-1)`` capped at
 ``max_delay``) plus decorrelating jitter drawn from a *seeded* generator,
@@ -29,39 +31,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..backend.base import (
-    BackendTimeoutError,
-    WorkerCrashedError,
-    WorkerFailedError,
-)
-from ..core.resilience import RecoveryExhaustedError
-from ..machine.faults import (
-    RankFailedError,
-    RecvTimeoutError,
-    StragglerDetectedError,
-)
-from ..machine.scheduler import DeadlockError
+# the failures a retry can plausibly cure -- the fault was in the substrate
+# (dead worker, stale heartbeat, lost message, wedged run), not in the
+# problem statement -- are the rows of the one failure table
+from ..backend.chaos import is_retryable
 
 __all__ = ["RetryPolicy", "is_retryable"]
-
-#: infrastructure failure types a retry can plausibly cure: the fault was
-#: in the substrate (dead worker, stale heartbeat, lost message, wedged
-#: run), not in the problem statement
-_RETRYABLE = (
-    WorkerCrashedError,
-    WorkerFailedError,
-    StragglerDetectedError,
-    BackendTimeoutError,
-    RecvTimeoutError,
-    RankFailedError,
-    DeadlockError,
-    RecoveryExhaustedError,
-)
-
-
-def is_retryable(exc: BaseException) -> bool:
-    """True when ``exc`` is an infrastructure failure worth re-running."""
-    return isinstance(exc, _RETRYABLE)
 
 
 @dataclass

@@ -18,6 +18,8 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from .kernels import CompressedBlock
+
 if TYPE_CHECKING:  # pragma: no cover
     from .coo import COOMatrix
     from .csc import CSCMatrix
@@ -68,6 +70,16 @@ class SparseMatrix(ABC):
     def diagonal(self) -> np.ndarray:
         """Main diagonal as a dense vector (zeros where unstored)."""
         return self.to_coo().diagonal()
+
+    def _block(self) -> CompressedBlock:
+        """Kernel handle over a compressed scheme's ``(indptr, indices, data)``.
+
+        Built per product and dropped with it, as the matrix classes always
+        did: a cached handle would keep ``8 * nnz`` bytes resident per
+        matrix (and in every process forked from its owner).  Callers with
+        a hot loop hold their own handle.
+        """
+        return CompressedBlock(self.indptr, self.indices, self.data)
 
     # ------------------------------------------------------------------ #
     # conversions

@@ -85,17 +85,13 @@ class CSCMatrix(SparseMatrix):
     # ------------------------------------------------------------------ #
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``q(row(k)) += a(k) * x(j)``: the scatter loop of Section 5.1."""
-        x = self._check_vector(x, self.ncols)
-        y = np.zeros(self.nrows, dtype=np.result_type(self.dtype, x.dtype))
-        np.add.at(y, self.indices, self.data * x[self.expanded_cols()])
-        return y
+        return self._block().rmatvec(
+            self._check_vector(x, self.ncols), self.nrows
+        )
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """``A.T @ x``: per-column gather, no scatter dependency."""
-        x = self._check_vector(x, self.nrows)
-        y = np.zeros(self.ncols, dtype=np.result_type(self.dtype, x.dtype))
-        np.add.at(y, self.expanded_cols(), self.data * x[self.indices])
-        return y
+        return self._block().matvec(self._check_vector(x, self.nrows))
 
     def diagonal(self) -> np.ndarray:
         d = np.zeros(min(self.shape), dtype=self.dtype)

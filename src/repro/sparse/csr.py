@@ -81,17 +81,13 @@ class CSRMatrix(SparseMatrix):
         This is the vectorised form of the paper's Figure-2 FORALL loop:
         contributions ``a * x[col]`` are scattered to their rows.
         """
-        x = self._check_vector(x, self.ncols)
-        y = np.zeros(self.nrows, dtype=np.result_type(self.dtype, x.dtype))
-        np.add.at(y, self.expanded_rows(), self.data * x[self.indices])
-        return y
+        return self._block().matvec(self._check_vector(x, self.ncols))
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """``A.T @ x``: gather by row, scatter by column (a CSC-style loop)."""
-        x = self._check_vector(x, self.nrows)
-        y = np.zeros(self.ncols, dtype=np.result_type(self.dtype, x.dtype))
-        np.add.at(y, self.indices, self.data * x[self.expanded_rows()])
-        return y
+        return self._block().rmatvec(
+            self._check_vector(x, self.nrows), self.ncols
+        )
 
     def diagonal(self) -> np.ndarray:
         d = np.zeros(min(self.shape), dtype=self.dtype)

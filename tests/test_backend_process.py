@@ -225,3 +225,42 @@ class BadDestProgram:
     def __call__(self, rank, size):
         yield Send(dest=5, payload=1.0, tag=0)
         return rank
+
+
+# ------------------------------------------------------------------ #
+# kernel handles are derived data: they never ride a pickle
+# ------------------------------------------------------------------ #
+def test_kernel_handles_never_leak_into_a_pickle():
+    import pickle
+
+    from repro.backend import CGRankProgram, SimulatedBackend
+    from repro.backend.kernel import Collectives
+    from repro.backend.programs import RowBlockOperator
+    from repro.hpf.distribution import Block
+    from repro.sparse import nas_cg_style
+
+    A = nas_cg_style(96, seed=2)
+    b = np.ones(A.nrows)
+    program = CGRankProgram(A, b)
+    size_A, size_program = len(pickle.dumps(A)), len(pickle.dumps(program))
+
+    state = set(vars(A))
+    A.matvec(b)  # the matrix's handle lives for one product, then is gone
+    A.rmatvec(b)
+    assert set(vars(A)) == state
+    assert len(pickle.dumps(A)) == size_A
+    assert len(pickle.dumps(CGRankProgram(A, b))) == size_program
+    clone = pickle.loads(pickle.dumps(A))
+    assert clone.matvec(b).tobytes() == A.matvec(b).tobytes()
+
+    # a program pickled after the call still solves bitwise-equal
+    before = SimulatedBackend(Machine(nprocs=2)).run(program, nprocs=2)
+    shipped = pickle.loads(pickle.dumps(CGRankProgram(A, b)))
+    after = SimulatedBackend(Machine(nprocs=2)).run(shipped, nprocs=2)
+    for (x0, res0, *_), (x1, res1, *_) in zip(before.results, after.results):
+        assert x0.tobytes() == x1.tobytes() and res0 == res1
+
+    # the per-rank handle holds views of the program's arrays, not copies
+    op = RowBlockOperator(program, Block(A.nrows, 2), 1, Collectives(1, 2))
+    assert np.shares_memory(op.block.data, A.data)
+    assert np.shares_memory(op.block.indices, A.indices)

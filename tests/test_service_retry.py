@@ -7,12 +7,19 @@ machine and the seeded jitter stream are exercised exactly.
 
 import pytest
 
+from repro.backend import (
+    AbftChecksumError,
+    ProcessBackend,
+    classify_failure,
+    process_backend_support,
+)
 from repro.backend.base import (
     BackendTimeoutError,
     WorkerCrashedError,
     WorkerFailedError,
 )
 from repro.core.resilience import RecoveryExhaustedError
+from repro.machine.events import Compute
 from repro.machine.faults import StragglerDetectedError
 from repro.service import (
     CLOSED,
@@ -54,6 +61,59 @@ class TestIsRetryable:
         for exc in (ValueError("bad input"), KeyError("x"),
                     ZeroDivisionError()):
             assert not is_retryable(exc), type(exc).__name__
+
+    # one failure table, two readers: the same fault gets the same answer
+    # raised raw (simulated backend) and relayed by a worker (process)
+    @staticmethod
+    def _relayed(type_name, message):
+        return WorkerFailedError(
+            f"rank 1 failed on the process backend:\n{type_name}: {message}\n"
+            "Traceback (most recent call last):\n  ..."
+        )
+
+    def test_detected_corruption_is_retryable_in_both_spellings(self):
+        raw = AbftChecksumError("mat-vec checksum mismatch")
+        relayed = self._relayed("AbftChecksumError", "mat-vec checksum mismatch")
+        for exc in (raw, relayed):
+            assert classify_failure(exc) == "abft_detected"
+            assert is_retryable(exc)
+
+    @pytest.mark.parametrize("type_name", ["ValueError", "TypeError"])
+    def test_bad_input_is_not_retried_in_either_spelling(self, type_name):
+        raw = {"ValueError": ValueError, "TypeError": TypeError}[type_name]("b")
+        relayed = self._relayed(type_name, "b must have shape (4,)")
+        assert not is_retryable(raw)
+        assert not is_retryable(relayed)
+        assert classify_failure(relayed) == "worker_failed"
+
+    def test_silent_worker_death_stays_retryable(self):
+        exc = WorkerFailedError(
+            "process backend workers died without reporting: ['repro-rank-1']"
+        )
+        assert is_retryable(exc)
+        # a listed infrastructure type relayed by a worker is retried too
+        assert is_retryable(self._relayed("RecvTimeoutError", "no message"))
+
+    @pytest.mark.skipif(not process_backend_support()[0],
+                        reason="process backend unavailable")
+    def test_relayed_spelling_is_what_the_process_backend_sends(self):
+        for program, retry in ((_BadInputProgram(), False),
+                               (_ChecksumProgram(), True)):
+            with pytest.raises(WorkerFailedError) as excinfo:
+                ProcessBackend(timeout=30.0).run(program, nprocs=1)
+            assert is_retryable(excinfo.value) is retry, str(excinfo.value)
+
+
+class _BadInputProgram:
+    def __call__(self, rank, size):
+        yield Compute(1.0)
+        raise ValueError("b must have shape (4,), got (3,)")
+
+
+class _ChecksumProgram:
+    def __call__(self, rank, size):
+        yield Compute(1.0)
+        raise AbftChecksumError("mat-vec checksum mismatch")
 
 
 # ------------------------------------------------------------------ #
