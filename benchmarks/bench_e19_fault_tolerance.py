@@ -9,13 +9,15 @@ costs on the simulated machine:
   probability, with the stop-and-wait reliable transport retransmitting;
   the overhead is visible as retransmitted words and extra simulated time;
 * a *mid-solve crash* -- one rank fail-stops partway through the solve;
-  the driver restarts from the latest coordinated checkpoint and pays the
-  failure-detection backoff plus replayed iterations;
+  the recovery driver reruns it from the newest complete coordinated
+  checkpoint and pays the replayed iterations;
 * a *silent corruption* in the HPF solver -- the sanity audit catches the
   broken ``r = b - A x`` invariant and rolls back.
 
-Every faulty run must converge to the fault-free answer, and every run is
-bit-identical when repeated with the same seed.
+``spmd_cg``'s fault mode is ``ResilientCGProgram`` under
+``run_with_recovery`` -- the launch every backend solve uses -- so every
+faulty SPMD run must land on the fault-free ``x`` bit for bit, and every
+run is bit-identical when repeated with the same seed.
 """
 
 import numpy as np
@@ -62,12 +64,14 @@ def test_e19_message_loss_sweep(benchmark):
         plan = FaultPlan(seed=19, drop_prob=loss)
         m, res = _run_spmd(A, b, plan)
         assert res.converged
-        # the recovered answer matches the fault-free one
-        assert np.linalg.norm(res.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
-        rel = res.extras["reliable"]
-        assert rel["retransmissions"] > 0
-        # retransmissions are charged: strictly more words on the wire
+        # the recovered answer is the fault-free one, bit for bit
+        assert np.array_equal(res.x, ref.x)
+        rel = res.extras["resilience"]["telemetry"]
+        # whole-run sums: every injected drop was retransmitted by some rank
+        assert rel["retransmissions"] >= res.extras["injected_faults"]["dropped"] > 0
+        # the protection is paid for on the wire and on the clock
         assert m.stats.total_words > m_ref.stats.total_words
+        assert res.machine_elapsed > ref.machine_elapsed
         t.add_row(f"{loss:.0%}", res.iterations, rel["retransmissions"],
                   rel["retransmitted_words"], m.stats.total_words,
                   res.machine_elapsed,
@@ -75,8 +79,13 @@ def test_e19_message_loss_sweep(benchmark):
     record_table(
         "e19_loss_sweep", t,
         notes="Stop-and-wait retransmission masks loss completely -- same "
-        "iteration count and same answer -- at a simulated-time cost that "
-        "grows with the loss rate (each drop costs a timeout + resend).",
+        "iteration count and the bitwise-identical answer -- at a simulated-"
+        "time cost that grows with the loss rate: each drop costs the "
+        "sender its ack timeout (ReliableConfig's 2 ms) plus the resend.  "
+        "Drops are injected at the Comm boundary and never reach the wire, "
+        "so each retransmission replaces a lost copy and total words barely "
+        "move with the loss rate; their step up from the fault-free row is "
+        "the ARQ's acks and packet headers plus the guard's audits.",
     )
 
 
@@ -91,10 +100,12 @@ def test_e19_mid_solve_crash(benchmark):
 
     m, res = benchmark(run_crash)
     assert res.converged
-    assert np.linalg.norm(res.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
-    ov = res.extras["resilience"]
-    assert ov["crash_restarts"] == 1
-    assert ov["extra_iterations"] > 0
+    assert np.array_equal(res.x, ref.x)
+    recovery = res.extras["recovery"]
+    assert recovery["crashes_recovered"] == [2]
+    # resumed from a coordinated checkpoint, not a cold restart
+    (resumed_from,) = recovery["restart_iterations"]
+    assert resumed_from >= 0
 
     # determinism: the same plan replays bit-identically
     m2, res2 = run_crash()
@@ -103,21 +114,24 @@ def test_e19_mid_solve_crash(benchmark):
     assert m2.stats.total_words == m.stats.total_words
 
     t = Table(
-        ["scenario", "iterations", "extra iters", "crash restarts",
+        ["scenario", "iterations", "resumed from", "crash restarts",
          "total words", "sim time (s)", "time overhead"],
         title=f"E19b  rank 2 fail-stop at 40% of the fault-free solve",
     )
-    t.add_row("fault-free", ref.iterations, 0, 0,
+    t.add_row("fault-free", ref.iterations, "-", 0,
               m_ref.stats.total_words, ref.machine_elapsed, "1.00x")
-    t.add_row("crash + restart", res.iterations, ov["extra_iterations"],
-              ov["crash_restarts"], m.stats.total_words, res.machine_elapsed,
+    t.add_row("crash + restart", res.iterations, resumed_from,
+              len(recovery["crashes_recovered"]), m.stats.total_words,
+              res.machine_elapsed,
               f"{res.machine_elapsed / ref.machine_elapsed:.2f}x")
     record_table(
         "e19b_crash", t,
-        notes="The crashed solve resumes from the last coordinated "
-        "checkpoint: the extra iterations are the replayed tail, and the "
-        "time overhead is dominated by the exponential-backoff failure "
-        "detection before the restart.",
+        notes="The recovery driver reruns the crashed solve from the newest "
+        "complete coordinated checkpoint (resumed from = its iteration) and "
+        "lands on the fault-free x bit for bit.  The simulator detects the "
+        "dead rank when the survivors stall on it, so the overhead is the "
+        "replayed iterations plus checkpoint and audit work -- no ARQ "
+        "exhaustion against the dead rank.",
     )
 
 

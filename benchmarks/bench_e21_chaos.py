@@ -47,6 +47,9 @@ def test_e21_chaos_sweep(benchmark):
     )
     for o in outcomes:
         inj = o.injected
+        if o.backend == "simulated":
+            resent = inj.get("dropped", 0) + inj.get("corrupted", 0)
+            assert o.retransmissions >= resent, o
         t.add_row(
             o.seed, o.backend, o.outcome, f"{o.max_abs_err:.1e}",
             o.attempts, o.rollbacks, int(o.retransmissions),
@@ -62,5 +65,7 @@ def test_e21_chaos_sweep(benchmark):
         "real SIGKILLs recovered by respawn + checkpoint restart.  The "
         "injected-fault column counts drops/duplicates/corruptions/delays "
         "actually applied; crash-free seeds agree across backends up to "
-        "timing-dependent retransmission counts.",
+        "timing-dependent retransmission counts.  Retransmissions are "
+        "summed over the ranks' ARQ endpoints, so each simulated row "
+        "resends at least every drop and corruption it injected.",
     )

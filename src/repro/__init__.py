@@ -31,7 +31,6 @@ Subpackages
 
 from .analysis import Table, load_report
 from .backend import (
-    Comm,
     ProcessBackend,
     SimulatedBackend,
     backend_solve,
@@ -106,7 +105,6 @@ __version__ = "1.0.0"
 __all__ = [
     "Machine",
     "CostModel",
-    "Comm",
     "SimulatedBackend",
     "ProcessBackend",
     "backend_solve",

@@ -1,8 +1,8 @@
 """Execution backends: the same SPMD programs, simulated or real.
 
 The paper's claims live on a modelled multicomputer; this package makes
-them testable against wall-clock reality.  One
-:class:`~repro.backend.base.Comm`/GenOp protocol, two substrates:
+them testable against wall-clock reality.  One generator-op protocol
+(:mod:`repro.machine.events`), two substrates:
 
 * :class:`SimulatedBackend` -- the deterministic discrete-event scheduler
   with the ``t_startup + m·t_comm`` cost model (the paper's machine);
@@ -45,7 +45,6 @@ from .base import (
     BackendError,
     BackendRun,
     BackendTimeoutError,
-    Comm,
     ExecutionBackend,
     RecvTimeoutError,
     WorkerCrashedError,
@@ -70,7 +69,6 @@ from .chaos import (
 from .faulty import (
     FaultInjectingProgram,
     FaultInjector,
-    FaultyComm,
     SlowdownProgram,
 )
 from .process import (
@@ -118,7 +116,6 @@ __all__ = [
     "CGRankProgram",
     "Calibration",
     "ChaosOutcome",
-    "Comm",
     "CrossValidation",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_RUN_DEADLINE",
@@ -126,7 +123,6 @@ __all__ = [
     "FaultInjectingProgram",
     "FaultInjector",
     "FaultSequenceParity",
-    "FaultyComm",
     "PCGRankProgram",
     "PingPongProgram",
     "ProcessBackend",

@@ -21,11 +21,6 @@ between the two is the modelled-vs-measured comparison of benchmark E20.
 
 This module defines the pieces both implementations share:
 
-* :class:`Comm` -- a communicator adapter bound to ``(rank, size)`` whose
-  generator methods wrap the raw events and the :mod:`repro.machine.spmd`
-  collectives, so rank programs can be written against one object instead
-  of scattering ``yield Send(...)`` calls (the ``DistributedArray`` /
-  ``Partition`` idiom of pylops-mpi, at the message-passing level);
 * :class:`BackendRun` -- the uniform result record: per-rank return
   values, a :class:`~repro.machine.stats.MachineStats` in the exact shape
   the simulator produces, an elapsed time, and a time decomposition;
@@ -38,15 +33,11 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..machine.events import (
-    ANY_SOURCE, Barrier, Checkpoint, Compute, Op, Recv, Send,
-)
-from ..machine import spmd
+from ..machine.events import Op
 from ..machine.faults import RecvTimeoutError
 from ..machine.stats import MachineStats
 
 __all__ = [
-    "Comm",
     "BackendRun",
     "ExecutionBackend",
     "BackendError",
@@ -91,101 +82,6 @@ class WorkerCrashedError(WorkerFailedError):
             message or f"worker rank {rank} crashed (fail-stop)"
         )
         self.rank = rank
-
-
-class Comm:
-    """Backend-neutral communicator for SPMD rank programs.
-
-    Bound to one ``(rank, size)`` pair; every method is a generator to be
-    driven with ``yield from``, so the same program text runs unchanged on
-    the simulated scheduler and on real OS processes::
-
-        def program(rank, size):
-            comm = Comm(rank, size)
-            total = yield from comm.allreduce_sum(local_dot)
-            yield from comm.compute(2.0 * n_local)
-
-    The collective algorithms are exactly those of
-    :mod:`repro.machine.spmd` (binomial trees), so reduction *order* -- and
-    therefore floating-point rounding -- is identical across backends.
-    """
-
-    def __init__(self, rank: int, size: int):
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        if not 0 <= rank < size:
-            raise ValueError(f"rank {rank} out of range for size {size}")
-        self.rank = rank
-        self.size = size
-
-    # -------------------------------------------------------------- #
-    # point-to-point and local ops
-    # -------------------------------------------------------------- #
-    def send(self, dest: int, payload: Any = None, tag: int = 0,
-             nwords: Optional[float] = None) -> RankProgram:
-        """Eager send of ``payload`` to ``dest``."""
-        yield Send(dest=dest, payload=payload, tag=tag, nwords=nwords)
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = 0,
-             timeout: Optional[float] = None) -> RankProgram:
-        """Blocking receive; returns the payload."""
-        payload = yield Recv(source=source, tag=tag, timeout=timeout)
-        return payload
-
-    def compute(self, flops: float) -> RankProgram:
-        """Charge local floating-point work (declared flop count)."""
-        yield Compute(flops)
-
-    def barrier(self, label: str = "") -> RankProgram:
-        """Global synchronisation across all ranks."""
-        yield Barrier(label)
-
-    def checkpoint(self, iteration: int, payload: Any) -> RankProgram:
-        """Publish this rank's recovery snapshot for ``iteration``.
-
-        The substrate stores it (scheduler checkpoint store / parent
-        process); publishing is free here -- charge the copy cost with an
-        adjacent :meth:`compute` so both substrates price it identically.
-        """
-        yield Checkpoint(iteration=iteration, payload=payload)
-
-    # -------------------------------------------------------------- #
-    # collectives (binomial trees from repro.machine.spmd)
-    # -------------------------------------------------------------- #
-    def bcast(self, value: Any, root: int = 0, tag: int = 1) -> RankProgram:
-        result = yield from spmd.bcast(self.rank, self.size, value, root, tag)
-        return result
-
-    def reduce(self, value: Any, root: int = 0, op=None, tag: int = 2) -> RankProgram:
-        kwargs = {"op": op} if op is not None else {}
-        result = yield from spmd.reduce_to_root(
-            self.rank, self.size, value, root=root, tag=tag, **kwargs
-        )
-        return result
-
-    def allreduce_sum(self, value: Any, tag: int = 3) -> RankProgram:
-        result = yield from spmd.allreduce_sum(self.rank, self.size, value, tag=tag)
-        return result
-
-    def gather(self, value: Any, root: int = 0, tag: int = 5) -> RankProgram:
-        result = yield from spmd.gather_to_root(
-            self.rank, self.size, value, root=root, tag=tag
-        )
-        return result
-
-    def allgather(self, value: Any, tag: int = 7) -> RankProgram:
-        result = yield from spmd.allgather(self.rank, self.size, value, tag=tag)
-        return result
-
-    def scatter(self, values: Optional[List[Any]], root: int = 0,
-                tag: int = 9) -> RankProgram:
-        result = yield from spmd.scatter_from_root(
-            self.rank, self.size, values, root=root, tag=tag
-        )
-        return result
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Comm(rank={self.rank}, size={self.size})"
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Comm-level fault injection: one seeded plan, identical on both backends.
 
-PR 1 injected message faults inside the simulated scheduler, which the
-process backend can never reach.  This module moves the injection point up
-to the boundary every backend shares -- the operation stream a rank
-program yields -- so drop, duplicate, corrupt and delay behave *and
-sequence* identically whether the ops are interpreted by the
-discrete-event scheduler or by real OS processes.
+Message faults enter at exactly one point: the boundary every backend
+shares -- the operation stream a rank program yields -- so drop,
+duplicate, corrupt and delay behave *and sequence* identically whether the
+ops are interpreted by the discrete-event scheduler or by real OS
+processes.  (The scheduler refuses a plan carrying message faults; it
+executes only the crash and slowdown share.)
 
 Determinism across substrates comes from two choices:
 
@@ -23,8 +23,7 @@ therefore identical on the simulated and the process backend (asserted by
 Injection semantics at this layer (NIC-level, before the wire):
 
 * **drop** -- the ``Send`` is swallowed; the message never enters the
-  network and nothing is charged (the simulated scheduler's in-network
-  drop charged wire time; a NIC-level drop does not);
+  network and nothing is charged;
 * **corrupt** -- the payload is perturbed by the plan's seeded
   :meth:`~repro.machine.faults.FaultPlan.corrupt_payload`;
 * **duplicate** -- the ``Send`` is yielded twice back-to-back;
@@ -36,8 +35,8 @@ Injection semantics at this layer (NIC-level, before the wire):
   cannot deadlock on the injection itself.
 
 Control traffic (``Send(control=True)``, the reliable layer's acks) is
-exempt, mirroring the scheduler's modelling of a flow-controlled control
-channel.  Self-sends are exempt (they never touch the network).
+exempt: it models a flow-controlled control channel (DESIGN.md §6).
+Self-sends are exempt (they never touch the network).
 """
 
 from __future__ import annotations
@@ -56,11 +55,10 @@ from ..machine.faults import (
     FaultPlan,
     RankSlowdown,
 )
-from .base import Comm, ProgramFactory, RankProgram
+from .base import ProgramFactory, RankProgram
 
 __all__ = [
     "FaultInjector",
-    "FaultyComm",
     "FaultInjectingProgram",
     "SlowdownProgram",
 ]
@@ -184,48 +182,6 @@ def _merge_injector_stats(gen: RankProgram, injector: FaultInjector):
         extras["injected_faults"] = injector.plan.stats.as_dict()
         result = result[:-1] + (extras,)
     return result
-
-
-class FaultyComm(Comm):
-    """A :class:`~repro.backend.base.Comm` whose traffic is fault-injected.
-
-    Drop-in replacement for programs written against the ``Comm`` API:
-    every primitive and collective routes its op stream through one shared
-    :class:`FaultInjector`, so the injector's RNG is consulted in plain
-    program order across all of them.  ``plan`` is the *user-level* plan;
-    the rank-local derivation happens here.
-    """
-
-    def __init__(self, rank: int, size: int, plan: FaultPlan):
-        super().__init__(rank, size)
-        self.injector = FaultInjector(plan.for_rank(rank), rank)
-
-    def _w(self, gen: RankProgram) -> RankProgram:
-        return self.injector.wrap(gen)
-
-    def send(self, *args, **kwargs):
-        return self._w(super().send(*args, **kwargs))
-
-    def recv(self, *args, **kwargs):
-        return self._w(super().recv(*args, **kwargs))
-
-    def bcast(self, *args, **kwargs):
-        return self._w(super().bcast(*args, **kwargs))
-
-    def reduce(self, *args, **kwargs):
-        return self._w(super().reduce(*args, **kwargs))
-
-    def allreduce_sum(self, *args, **kwargs):
-        return self._w(super().allreduce_sum(*args, **kwargs))
-
-    def gather(self, *args, **kwargs):
-        return self._w(super().gather(*args, **kwargs))
-
-    def allgather(self, *args, **kwargs):
-        return self._w(super().allgather(*args, **kwargs))
-
-    def scatter(self, *args, **kwargs):
-        return self._w(super().scatter(*args, **kwargs))
 
 
 class _DriverSeam:

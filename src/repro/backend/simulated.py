@@ -1,4 +1,4 @@
-"""The simulated execution backend: the event scheduler behind the Comm API.
+"""The simulated execution backend: the event scheduler behind the backend API.
 
 Adapts the existing :class:`~repro.machine.machine.Machine` +
 :class:`~repro.machine.scheduler.Scheduler` pair to the
@@ -41,11 +41,11 @@ class SimulatedBackend(ExecutionBackend):
         Stats tag forwarded to the scheduler's point-to-point records.
     faults:
         An optional :class:`~repro.machine.faults.FaultPlan` handed to the
-        scheduler.  The fault-tolerant driver passes only the plan's
-        ``substrate_plan()`` share here (crashes + slowdowns) -- message
-        faults are injected at the Comm boundary
-        (:mod:`repro.backend.faulty`) so they behave identically on the
-        process backend.
+        scheduler: the ``substrate_plan()`` share only (crashes +
+        slowdowns).  A plan carrying message faults is refused with a
+        ``ValueError`` at :meth:`run` -- those are injected at the Comm
+        boundary (:class:`~repro.backend.faulty.FaultInjectingProgram`),
+        the one injection point both backends share.
     straggler_deadline:
         When set, the scheduler raises
         :class:`~repro.machine.faults.StragglerDetectedError` once a live

@@ -523,8 +523,9 @@ def _resilient_solve(
     from the resilience options derived here; ``assemble(run, program)``
     turns the surviving run into a ``SolveResult``.  In between the plan
     is split by layer as :func:`backend_solve` documents: a string
-    ``backend`` is built with only the substrate's share, since passing
-    the full plan would double-inject the message faults.
+    ``backend`` is built with only the substrate's share (crashes and
+    slowdowns); message faults enter at the Comm boundary alone, and the
+    simulated scheduler refuses a plan that carries them.
     """
     cfg = resilience or ResilienceConfig()
     plan = faults.clone() if faults is not None else None
@@ -564,21 +565,32 @@ def _resilient_solve(
                             store=store, policy=policy, min_ranks=min_ranks)
     result = assemble(run, program)
     result.extras["recovery"] = dict(run.recovery)
-    extras = run.results[0][4] if run.results else {}
+    extras = [res[4] or {} for res in run.results]
     # row-block programs return the telemetry itself; HPCG nests it
-    result.extras["resilience"] = dict(extras.get("resilience", extras))
-    # injected-fault counters are per-rank (each rank's injector sees only
-    # its own sends); sum them so reports show whole-run totals
-    injected: Dict[str, Any] = {}
-    for res in run.results:
-        per_rank = (res[4] or {}).get("injected_faults") or {}
-        for key, value in per_rank.items():
-            if isinstance(value, (int, float)):
-                injected[key] = injected.get(key, 0) + value
-            else:
-                injected.setdefault(key, []).extend(value)
-    result.extras["injected_faults"] = injected
+    guards = [e.get("resilience", e) for e in extras]
+    # the coordinated counters (rollbacks, audits, ...) are equal on every
+    # rank; the transport and injection counters are per rank (each rank's
+    # endpoint and injector see only its own sends), so those are summed
+    resilience = dict(guards[0]) if guards else {}
+    for key in ("telemetry", "fault_stats"):
+        if key in resilience:
+            resilience[key] = _sum_over_ranks(g.get(key) for g in guards)
+    result.extras["resilience"] = resilience
+    result.extras["injected_faults"] = _sum_over_ranks(
+        e.get("injected_faults") for e in extras)
     return result
+
+
+def _sum_over_ranks(per_rank) -> Dict[str, Any]:
+    """Whole-run totals of per-rank counter dicts: numbers add, lists join."""
+    total: Dict[str, Any] = {}
+    for counters in per_rank:
+        for key, value in (counters or {}).items():
+            if isinstance(value, (int, float)):
+                total[key] = total.get(key, 0) + value
+            else:
+                total.setdefault(key, []).extend(value)
+    return total
 
 
 def backend_solve(

@@ -4,9 +4,10 @@ The machine layer (:mod:`repro.machine.faults`,
 :mod:`repro.machine.reliable`) masks *message* faults; this module handles
 the two fault classes that reach solver state:
 
-* **fail-stop rank crashes** -- the SPMD driver re-runs the program on a
-  fresh :class:`~repro.machine.scheduler.Scheduler` and every rank resumes
-  from the latest *complete* coordinated checkpoint (all ranks present);
+* **fail-stop rank crashes** -- the recovery driver
+  (:func:`repro.backend.solve.run_with_recovery`) re-runs the rank program
+  and every rank resumes from the latest *complete* coordinated checkpoint
+  (all ranks present; :func:`latest_complete_checkpoint`);
 * **silent state corruption** -- a periodic *sanity audit* recomputes the
   true residual ``||b - A x||`` and compares it with the recurrence
   residual the iteration carries.  A mismatch beyond ``sanity_rtol *
@@ -25,6 +26,11 @@ no progress since the previous one, the guard asks the solver to *refresh*
 the direction (``p := r``, a plain CG restart), which flushes the
 corruption at the price of momentarily losing conjugacy.  Either way the
 final audit guarantees the returned ``x`` is genuine.
+
+:class:`ResilienceGuard` is the guard of the HPF solvers, which execute
+globally and have no rank program to yield from; the SPMD rank programs
+carry their own, :class:`repro.backend.kernel.Guard` (checkpoints, audits,
+rollbacks -- no stagnation refresh).
 
 Everything here has a simulated price: checkpoint saves and restores are
 charged as local memory traffic, the audit's mat-vec and reductions go
@@ -78,14 +84,19 @@ class ResilienceConfig:
     runs on every checkpoint iteration and before declaring convergence);
     ``sanity_rtol`` scales the audit tolerance by ``||b||``;
     ``max_restarts`` bounds rollbacks (and crash re-runs) before giving up;
-    ``restart_time`` is the simulated downtime charged per recovery;
+    ``reliable`` optionally overrides the rank programs' ARQ tuning
+    (default: ``ReliableConfig()``).
+
+    Two knobs apply to the HPF guard (:class:`ResilienceGuard`) only:
+    ``restart_time`` is the simulated downtime charged per rollback, and
     ``stagnation_factor``/``stagnation_patience`` trigger a direction
     refresh after that many *consecutive* audits in which the true residual
     shrank by less than the factor (catching otherwise-invisible
     search-direction corruption; healthy CG plateaus are non-monotone and
-    short, a poisoned direction stalls indefinitely);
-    ``reliable`` optionally overrides the SPMD transport tuning (defaults
-    are derived from the machine's cost model).
+    short, a poisoned direction stalls indefinitely).  The rank programs
+    (``spmd_cg``, ``backend_solve``, ``hpcg_solve``) have neither: their
+    crash restarts are timed by the substrate, and they refresh no
+    direction.
     """
 
     checkpoint_interval: int = 10

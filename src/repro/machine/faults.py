@@ -16,8 +16,10 @@ network and processors will exhibit:
   an undetected memory error; solvers detect it with a periodic sanity
   residual recomputation (see :mod:`repro.core.resilience`).
 
-Every random decision is drawn from one seeded NumPy generator, and the
-scheduler interleaves ranks deterministically, so a run with a fresh
+Every random decision is drawn from a seeded NumPy generator -- message
+faults from each sending rank's own derivation (:meth:`FaultPlan.for_rank`),
+consulted in that rank's program order at the Comm boundary
+(:mod:`repro.backend.faulty`) -- so a run with a fresh
 ``FaultPlan(seed=s)`` is bit-identical across repeats.  ``FaultPlan.none()``
 (the default everywhere) injects nothing and consumes no random numbers, so
 fault-free runs are unchanged down to the last clock tick.
@@ -396,9 +398,14 @@ class FaultPlan:
     def substrate_plan(self) -> "FaultPlan":
         """A plan carrying the substrate's share: crashes *and* slowdowns.
 
-        Extends :meth:`crashes_only` for substrates that also model time
-        dilation (the simulated scheduler charges dilated compute; the
-        process-backend driver sleeps before Compute ops).
+        The execution backends split one user-facing plan by layer: message
+        faults are injected at the Comm boundary (sender-side, per rank),
+        state corruptions inside the solver program, and crashes and
+        slowdowns by the substrate itself -- the simulated scheduler
+        (which charges dilated compute) or the process-backend supervisor
+        (which sleeps before Compute ops).  This derivation feeds the
+        substrate its share; the message faults stay with the Comm
+        boundary, the one place they are injected.
         """
         return FaultPlan(
             seed=self.seed,
@@ -451,18 +458,6 @@ class FaultPlan:
             )
         self.rules = tuple(kept_rules)
 
-    def crashes_only(self) -> "FaultPlan":
-        """A plan carrying only the fail-stop crash schedule.
-
-        The execution backends split one user-facing plan by layer: message
-        faults are injected at the Comm boundary (sender-side, per rank),
-        state corruptions inside the solver program, and crashes by the
-        substrate itself -- the simulated scheduler or the process-backend
-        supervisor.  This derivation feeds the substrate its share without
-        double-injecting the message faults.
-        """
-        return FaultPlan(seed=self.seed, crashes=self.crash_schedule())
-
     def for_rank(self, rank: int) -> "FaultPlan":
         """The rank-local derivation of this plan for sender-side injection.
 
@@ -493,7 +488,7 @@ class FaultPlan:
         )
 
     # ------------------------------------------------------------------ #
-    # message faults (consulted by Scheduler._post_send)
+    # message faults (consulted by backend.faulty.FaultInjector)
     # ------------------------------------------------------------------ #
     def next_action(self, src: int, dst: int, tag: int) -> str:
         """Decide the fate of one posted message (counts it in stats)."""

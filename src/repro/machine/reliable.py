@@ -11,16 +11,16 @@ number of retries.
 
 Robustness has a *measurable* simulated price: every retransmission is a
 real :class:`~repro.machine.events.Send` priced by the machine's cost model
-on delivery, dropped transmissions are charged to
-:class:`~repro.machine.stats.MachineStats` as ``"p2p-dropped"`` records,
-and every ack is a short extra message.  Benchmark E19 reads those numbers
-off the stats to report the overhead of fault tolerance against the
+on delivery, a dropped transmission costs the sender its ack timeout, and
+every ack is a short extra message.  Benchmark E19 reads those numbers off
+the stats to report the overhead of fault tolerance against the
 fault-free run.
 
 The binomial-tree collectives of :mod:`repro.machine.spmd` are offered
 here over the reliable primitives -- the same generators, driven by
-:func:`_over_arq` -- so the message-passing CG baseline can swap its
-transport without touching the numerics.
+:func:`_over_arq` -- so the rank programs' collectives
+(:class:`repro.backend.kernel.Collectives`) can swap their transport
+without touching the numerics.
 """
 
 from __future__ import annotations

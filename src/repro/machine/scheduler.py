@@ -21,11 +21,15 @@ program" of the paper's Section 5.1.
 Fault injection
 ---------------
 An optional :class:`~repro.machine.faults.FaultPlan` makes the simulated
-network and processors unreliable: posted sends can be dropped, duplicated,
-corrupted or delayed, and ranks can suffer scheduled fail-stop crashes
-(their generator is closed, messages to them are lost, and the run raises
+processors unreliable: ranks can suffer scheduled fail-stop crashes (their
+generator is closed, messages to them are lost, and the run raises
 :class:`~repro.machine.faults.RankFailedError` once the survivors cannot
-proceed).  ``Recv(timeout=...)`` lets programs bound their wait: when the
+proceed) and slowdowns (dilated compute time, with optional straggler
+detection).  Message faults -- drop, duplicate, corrupt, delay -- are not
+this layer's business: they enter at the Comm boundary
+(:class:`~repro.backend.faulty.FaultInjectingProgram`), the one injection
+point both execution backends share, and a plan carrying them is refused
+here.  ``Recv(timeout=...)`` lets programs bound their wait: when the
 scheduler would otherwise stall, the earliest-deadline blocked receive has
 its rank's clock advanced to the deadline and
 :class:`~repro.machine.faults.RecvTimeoutError` raised inside its program.
@@ -38,14 +42,12 @@ code path below behaves exactly as the fault-free scheduler always has.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from .events import ANY_SOURCE, Barrier, Checkpoint, Compute, Op, Recv, Send
-from .faults import DELAY, DELIVER, DROP, DUPLICATE, CORRUPT, FaultPlan
-from .faults import RankFailedError, RecvTimeoutError, StragglerDetectedError
+from .faults import FaultPlan, RankFailedError, RecvTimeoutError, StragglerDetectedError
 from .machine import Machine
 
 __all__ = ["Scheduler", "DeadlockError", "run_spmd"]
@@ -82,6 +84,13 @@ class Scheduler:
     ):
         self.machine = machine
         self.tag = tag
+        if faults is not None and faults.message_faults_enabled:
+            raise ValueError(
+                "the scheduler takes only a plan's substrate share (crashes "
+                "and slowdowns, FaultPlan.substrate_plan()); inject message "
+                "faults at the Comm boundary with "
+                "repro.backend.faulty.FaultInjectingProgram"
+            )
         # an inert plan is equivalent to no plan; normalising here keeps the
         # fault checks off the hot path for every fault-free run
         self.faults = faults if (faults is not None and faults.enabled) else None
@@ -344,44 +353,17 @@ class Scheduler:
 
     # ------------------------------------------------------------------ #
     def _post_send(self, src: int, op: Send) -> None:
-        """Buffer an eager send; deliver at once to a waiting receiver.
-
-        With fault injection active, the message may instead be dropped,
-        duplicated, corrupted or delayed here -- the moment it enters the
-        simulated network.
-        """
+        """Buffer an eager send; deliver at once to a waiting receiver."""
         dst = op.dest
         if not 0 <= dst < self.machine.nprocs:
             raise ValueError(f"rank {src} sent to invalid rank {dst}")
-        post_time = float(self.machine.clock[src])
-        if self.faults is not None and src != dst:
-            if self._state[dst] is _State.CRASHED:
-                # the wire carried the message; nobody is there to take it
-                self.faults.stats.lost_to_dead_rank += 1
-                self._record_lost(src, dst, op)
-                return
-            # control traffic (acks) rides the flow-controlled channel and
-            # is exempt from injected faults; see events.Send.control
-            action = DELIVER if op.control else self.faults.next_action(
-                src, dst, op.tag
-            )
-            if action == DROP:
-                self._record_lost(src, dst, op)
-                return
-            if action == CORRUPT:
-                op = dataclasses.replace(
-                    op, payload=self.faults.corrupt_payload(op.payload)
-                )
-            elif action == DELAY:
-                post_time += self.faults.delay_for()
-            queue = self._pending.setdefault((dst, op.tag), deque())
-            queue.append((src, post_time, op))
-            if action == DUPLICATE:
-                queue.append((src, post_time, op))
-        else:
-            self._pending.setdefault((dst, op.tag), deque()).append(
-                (src, post_time, op)
-            )
+        if self._state[dst] is _State.CRASHED:
+            # the wire carried the message; nobody is there to take it
+            self.faults.stats.lost_to_dead_rank += 1
+            return
+        self._pending.setdefault((dst, op.tag), deque()).append(
+            (src, float(self.machine.clock[src]), op)
+        )
         # a receiver already blocked on this message completes immediately
         if self._state[dst] is _State.BLOCKED_RECV:
             recv = self._blocked_op[dst]
@@ -390,13 +372,6 @@ class Scheduler:
                 self._state[dst] = _State.READY
                 self._blocked_op[dst] = None
                 self._recv_deadline[dst] = None
-
-    def _record_lost(self, src: int, dst: int, op: Send) -> None:
-        """Charge a lost message's wire traffic without advancing clocks."""
-        nwords = op.words()
-        hops = max(1, self.machine.topology.hops(src, dst))
-        t = self.machine.cost.message_time(nwords, hops)
-        self.machine.stats.record_comm("p2p-dropped", 1, nwords, t, self.tag)
 
     def _complete_transfer(
         self, src: int, post_time: float, dst: int, send: Send

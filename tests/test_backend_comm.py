@@ -1,18 +1,21 @@
-"""Unit tests for the backend-neutral ``Comm`` adapter.
+"""Unit tests for the communication primitives rank programs yield.
 
-``Comm`` wraps the raw GenOp events and the binomial-tree collectives of
-``repro.machine.spmd`` behind one ``(rank, size)``-bound object.  These
-tests drive it on the simulated backend and check (a) the semantics of
-every method and (b) that the collectives reduce in exactly the same
-order as calling ``spmd.*`` directly -- the property the cross-backend
-bitwise parity rests on.
+Rank programs talk to a backend through the raw GenOp events of
+``repro.machine.events`` and the binomial-tree collectives of
+``repro.machine.spmd`` (bound per rank by ``kernel.Collectives``).  These
+tests drive them on the simulated backend and check (a) the semantics of
+every primitive and collective and (b) that ``Collectives`` reduces in
+exactly the same order as calling ``spmd.*`` directly -- the property the
+cross-backend bitwise parity rests on.
 """
 
 import numpy as np
 import pytest
 
-from repro.backend import Comm, SimulatedBackend
+from repro.backend import SimulatedBackend
+from repro.backend.kernel import Collectives
 from repro.machine import spmd
+from repro.machine.events import Barrier, Compute, Recv, Send
 
 
 def _run(program, nprocs):
@@ -20,26 +23,14 @@ def _run(program, nprocs):
     return SimulatedBackend(topology="complete").run(program, nprocs)
 
 
-def test_comm_validates_rank_and_size():
-    with pytest.raises(ValueError):
-        Comm(0, 0)
-    with pytest.raises(ValueError):
-        Comm(4, 4)
-    with pytest.raises(ValueError):
-        Comm(-1, 2)
-    c = Comm(1, 4)
-    assert (c.rank, c.size) == (1, 4)
-
-
 def test_send_recv_roundtrip():
     def program(rank, size):
-        comm = Comm(rank, size)
         if rank == 0:
-            yield from comm.send(1, {"x": 42}, tag=4)
-            reply = yield from comm.recv(source=1, tag=5)
+            yield Send(dest=1, payload={"x": 42}, tag=4)
+            reply = yield Recv(source=1, tag=5)
             return reply
-        payload = yield from comm.recv(source=0, tag=4)
-        yield from comm.send(0, payload["x"] + 1, tag=5)
+        payload = yield Recv(source=0, tag=4)
+        yield Send(dest=0, payload=payload["x"] + 1, tag=5)
         return payload
 
     run = _run(program, 2)
@@ -50,8 +41,7 @@ def test_send_recv_roundtrip():
 
 def test_compute_charges_declared_flops():
     def program(rank, size):
-        comm = Comm(rank, size)
-        yield from comm.compute(100.0 * (rank + 1))
+        yield Compute(100.0 * (rank + 1))
         return rank
 
     run = _run(program, 3)
@@ -61,9 +51,8 @@ def test_compute_charges_declared_flops():
 
 def test_barrier_aligns_clocks():
     def program(rank, size):
-        comm = Comm(rank, size)
-        yield from comm.compute(1000.0 * rank)  # deliberately unbalanced
-        yield from comm.barrier("sync")
+        yield Compute(1000.0 * rank)  # deliberately unbalanced
+        yield Barrier("sync")
         return rank
 
     run = _run(program, 4)
@@ -77,14 +66,15 @@ def test_collectives_semantics(nprocs):
     root = min(1, nprocs - 1)
 
     def program(rank, size):
-        comm = Comm(rank, size)
-        rooted = yield from comm.bcast(10 if rank == root else None, root=root)
-        total = yield from comm.allreduce_sum(float(rank + 1))
-        red = yield from comm.reduce(float(rank + 1), root=0)
-        gat = yield from comm.gather(rank, root=0)
-        allg = yield from comm.allgather(rank * 2)
-        scat = yield from comm.scatter(
-            [f"item{i}" for i in range(size)] if rank == 0 else None, root=0
+        rooted = yield from spmd.bcast(
+            rank, size, 10 if rank == root else None, root=root)
+        total = yield from spmd.allreduce_sum(rank, size, float(rank + 1))
+        red = yield from spmd.reduce_to_root(rank, size, float(rank + 1))
+        gat = yield from spmd.gather_to_root(rank, size, rank)
+        allg = yield from spmd.allgather(rank, size, rank * 2)
+        scat = yield from spmd.scatter_from_root(
+            rank, size,
+            [f"item{i}" for i in range(size)] if rank == 0 else None,
         )
         return rooted, total, red, gat, allg, scat
 
@@ -107,16 +97,16 @@ def test_comm_collectives_match_raw_spmd_bitwise():
     rng = np.random.default_rng(7)
     values = [float(v) for v in rng.standard_normal(4)]
 
-    def via_comm(rank, size):
-        comm = Comm(rank, size)
-        result = yield from comm.allreduce_sum(values[rank])
+    def via_collectives(rank, size):
+        comm = Collectives(rank, size)
+        result = yield from comm.allreduce_sum(values[rank], tag=3)
         return result
 
     def via_spmd(rank, size):
         result = yield from spmd.allreduce_sum(rank, size, values[rank], tag=3)
         return result
 
-    a = _run(via_comm, 4).results
+    a = _run(via_collectives, 4).results
     b = _run(via_spmd, 4).results
     assert a == b  # exact equality, not allclose
     # and the tree order differs from naive left-to-right summation
@@ -125,11 +115,10 @@ def test_comm_collectives_match_raw_spmd_bitwise():
 
 def test_comm_send_nwords_override():
     def program(rank, size):
-        comm = Comm(rank, size)
         if rank == 0:
-            yield from comm.send(1, None, tag=1, nwords=512)
+            yield Send(dest=1, payload=None, tag=1, nwords=512)
         else:
-            yield from comm.recv(source=0, tag=1)
+            yield Recv(source=0, tag=1)
         return rank
 
     run = _run(program, 2)

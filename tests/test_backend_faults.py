@@ -14,7 +14,6 @@ from repro.backend import (
     CGRankProgram,
     FaultInjectingProgram,
     FaultInjector,
-    FaultyComm,
     SimulatedBackend,
     fault_sequence_parity,
     process_backend_support,
@@ -26,6 +25,7 @@ from repro.backend.abft import (
     decode_dot,
     encode_dot,
 )
+from repro.backend.kernel import Collectives
 from repro.machine.events import Barrier, Compute, Recv, Send
 from repro.machine.faults import FaultPlan, FaultRule
 from repro.sparse.generators import poisson1d, rhs_for_solution
@@ -137,6 +137,34 @@ class TestFaultInjector:
             gen.throw(RecvTimeoutError("boom"))
         assert stop.value.value == "timed out"
 
+    def test_fault_free_plan_is_transparent(self):
+        def program(rank, size):
+            comm = Collectives(rank, size)
+            total = yield from comm.allreduce_sum(float(rank + 1))
+            blocks = yield from comm.allgather(np.full(2, float(rank)))
+            return total, float(np.concatenate(blocks).sum())
+
+        run = SimulatedBackend().run(
+            FaultInjectingProgram(program, FaultPlan(seed=3)), 4)
+        assert all(r == (10.0, 12.0) for r in run.results)
+
+    def test_rank_local_plans_are_independent(self):
+        plan = FaultPlan(seed=9, drop_prob=0.5)
+        a, b = plan.for_rank(0), plan.for_rank(1)
+        assert a.seed != b.seed
+
+        def sends():
+            for i in range(32):
+                yield Send(dest=2, payload=float(i), tag=5)
+
+        logs = []
+        for rank, local in ((0, a), (1, b)):
+            inj = FaultInjector(local, rank)
+            _drain(inj.wrap(sends()))
+            logs.append([entry[0] for entry in inj.log])
+        # each sender draws its own stream: same op sequence, other drops
+        assert logs[0] and logs[1] and logs[0] != logs[1]
+
 
 class RingProgram:
     """Each rank passes a value right and returns what it got from the left."""
@@ -146,23 +174,6 @@ class RingProgram:
         got = yield Recv(source=(rank - 1) % size, tag=1)
         yield Barrier("done")
         return float(got)
-
-
-class TestFaultyComm:
-    def test_fault_free_plan_is_transparent(self):
-        def program(rank, size):
-            comm = FaultyComm(rank, size, FaultPlan(seed=3))
-            total = yield from comm.allreduce_sum(float(rank + 1))
-            blocks = yield from comm.allgather(np.full(2, float(rank)))
-            return total, float(np.concatenate(blocks).sum())
-
-        run = SimulatedBackend().run(program, 4)
-        assert all(r == (10.0, 12.0) for r in run.results)
-
-    def test_rank_local_plans_are_independent(self):
-        plan = FaultPlan(seed=9, drop_prob=0.5)
-        a, b = plan.for_rank(0), plan.for_rank(1)
-        assert a.seed != b.seed
 
 
 class TestAbft:

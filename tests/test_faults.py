@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import FaultInjectingProgram, SimulatedBackend
 from repro.machine import (
     ANY_SOURCE,
     Barrier,
@@ -16,6 +17,7 @@ from repro.machine import (
     Recv,
     RecvTimeoutError,
     Send,
+    Scheduler,
     StateCorruption,
     run_spmd,
 )
@@ -114,19 +116,26 @@ def _pingpong(rank, size):
 
 
 class TestSchedulerInjection:
-    def test_targeted_drop_stalls_unprotected_program(self):
-        plan = FaultPlan(rules=[FaultRule(kind="drop", src=0, dst=1, tag=7)])
-        with pytest.raises(DeadlockError):
-            run_spmd(Machine(nprocs=2), _pingpong, faults=plan)
-        assert plan.stats.dropped == 1
+    """Message faults enter at the Comm boundary: each program below runs
+    wrapped in ``FaultInjectingProgram`` on a fault-free scheduler."""
 
-    def test_dropped_words_charged_to_stats(self):
+    def test_scheduler_and_backend_refuse_message_fault_plans(self):
+        plan = FaultPlan(rules=[FaultRule(kind="drop", src=0, dst=1, tag=7)])
+        with pytest.raises(ValueError, match="FaultInjectingProgram"):
+            Scheduler(Machine(nprocs=2), faults=plan)
+        with pytest.raises(ValueError, match="FaultInjectingProgram"):
+            SimulatedBackend(faults=FaultPlan(drop_prob=0.1)).run(_pingpong, 2)
+        # the substrate share (crashes, slowdowns) is still accepted
+        crash = FaultPlan(drop_prob=0.1, crashes=[RankCrash(1, 1.0)])
+        Scheduler(Machine(nprocs=2), faults=crash.substrate_plan())
+
+    def test_targeted_drop_stalls_unprotected_program(self):
         m = Machine(nprocs=2)
         plan = FaultPlan(rules=[FaultRule(kind="drop", src=0, dst=1, tag=7)])
         with pytest.raises(DeadlockError):
-            run_spmd(m, _pingpong, faults=plan)
-        dropped = [r for r in m.stats.comm_records if r.op == "p2p-dropped"]
-        assert len(dropped) == 1 and dropped[0].words == 4.0
+            run_spmd(m, FaultInjectingProgram(_pingpong, plan))
+        # a NIC-level drop never enters the network: nothing is charged
+        assert m.stats.total_messages == 0
 
     def test_duplicate_delivers_twice(self):
         def prog(rank, size):
@@ -138,23 +147,30 @@ class TestSchedulerInjection:
             return (first, second)
 
         plan = FaultPlan(rules=[FaultRule(kind="duplicate", src=0, dst=1)])
-        results = run_spmd(Machine(nprocs=2), prog, faults=plan)
+        results = run_spmd(Machine(nprocs=2), FaultInjectingProgram(prog, plan))
         assert results[1] == (5, 5)
 
     def test_corruption_perturbs_payload_in_flight(self):
         plan = FaultPlan(seed=2, rules=[FaultRule(kind="corrupt", src=0, dst=1)])
-        results = run_spmd(Machine(nprocs=2), _pingpong, faults=plan)
+        results = run_spmd(Machine(nprocs=2),
+                           FaultInjectingProgram(_pingpong, plan))
         assert np.sum(results[1] != np.arange(4.0)) == 1
 
     def test_delay_adds_latency(self):
+        # a delayed send leaves at the sender's next blocking op (here:
+        # program end), so the receiver sees it after the sender's compute
+        def prog(rank, size):
+            if rank == 0:
+                yield Send(dest=1, payload=1.0, tag=7)
+                yield Compute(2.5e8)
+                return None
+            return (yield Recv(source=0, tag=7))
+
         m_ref, m_del = Machine(nprocs=2), Machine(nprocs=2)
-        run_spmd(m_ref, _pingpong)
-        plan = FaultPlan(
-            seed=3, delay_time=0.25,
-            rules=[FaultRule(kind="delay", src=0, dst=1)],
-        )
-        run_spmd(m_del, _pingpong, faults=plan)
-        assert m_del.elapsed() > m_ref.elapsed() + 0.1
+        run_spmd(m_ref, prog)
+        plan = FaultPlan(seed=3, rules=[FaultRule(kind="delay", src=0, dst=1)])
+        assert run_spmd(m_del, FaultInjectingProgram(prog, plan))[1] == 1.0
+        assert m_del.clock[1] > m_ref.clock[1] + 0.1
 
     def test_self_message_exempt_from_injection(self):
         def prog(rank, size):
@@ -162,7 +178,8 @@ class TestSchedulerInjection:
             return (yield Recv(source=rank))
 
         plan = FaultPlan(drop_prob=1.0)
-        assert run_spmd(Machine(nprocs=2), prog, faults=plan) == [0, 10]
+        assert run_spmd(Machine(nprocs=2),
+                        FaultInjectingProgram(prog, plan)) == [0, 10]
 
     def test_control_messages_exempt_from_injection(self):
         def prog(rank, size):
@@ -172,12 +189,14 @@ class TestSchedulerInjection:
             return (yield Recv(source=0))
 
         plan = FaultPlan(drop_prob=1.0)
-        assert run_spmd(Machine(nprocs=2), prog, faults=plan) == [None, 1]
+        assert run_spmd(Machine(nprocs=2),
+                        FaultInjectingProgram(prog, plan)) == [None, 1]
 
     def test_inert_plan_identical_to_no_plan(self):
         m_a, m_b = Machine(nprocs=2), Machine(nprocs=2)
         run_spmd(m_a, _pingpong)
-        run_spmd(m_b, _pingpong, faults=FaultPlan.none())
+        run_spmd(m_b, FaultInjectingProgram(_pingpong, FaultPlan.none()),
+                 faults=FaultPlan.none())
         assert m_a.elapsed() == m_b.elapsed()
         assert m_a.stats.total_words == m_b.stats.total_words
 

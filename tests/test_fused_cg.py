@@ -11,8 +11,7 @@ classic programs on every axis this repo cares about:
   across the simulated and real-process substrates;
 * **fault tolerance** -- the fused ``ResilientCGProgram`` path survives
   crashes, rollbacks, ABFT checks and shrink-redistribution exactly like
-  the classic one, and the message-passing baseline's one-shot ``||b||``
-  reduction (tag 13) is never replayed by a restart.
+  the classic one.
 """
 
 import numpy as np
@@ -21,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import (
+    FaultInjectingProgram,
     ProcessBackend,
     ResilientCGProgram,
     SimulatedBackend,
@@ -276,78 +276,4 @@ class TestFusedResilient:
         prog = ResilientCGProgram(A, b, criterion=CRIT, abft=True, fused=True,
                                   max_restarts=0)
         with pytest.raises(AbftChecksumError):
-            SimulatedBackend(faults=plan).run(prog, 2)
-
-
-# ---------------------------------------------------------------------- #
-# the bnorm2 bugfix: one reduction, ever, across any number of restarts
-# ---------------------------------------------------------------------- #
-class TestBnormReducedOnce:
-    @staticmethod
-    def _counting_scheduler(tally):
-        from repro.machine.events import Send
-        from repro.machine.scheduler import Scheduler
-
-        def wrap(inner):
-            def factory(rank, size):
-                gen = inner(rank, size)
-                try:
-                    op = next(gen)
-                except StopIteration as stop:
-                    return stop.value
-                while True:
-                    if isinstance(op, Send):
-                        tally[op.tag] = tally.get(op.tag, 0) + 1
-                    # forward thrown exceptions (receive timeouts on a
-                    # crashed peer) to the wrapped program's handlers
-                    try:
-                        reply = yield op
-                    except BaseException as exc:
-                        try:
-                            op = gen.throw(exc)
-                        except StopIteration as stop:
-                            return stop.value
-                        continue
-                    try:
-                        op = gen.send(reply)
-                    except StopIteration as stop:
-                        return stop.value
-            return factory
-
-        class CountingScheduler(Scheduler):
-            def run(self, program):
-                return super().run(wrap(program))
-
-        return CountingScheduler
-
-    def _run(self, monkeypatch, faults, p=4):
-        from repro.baselines import message_passing as mp
-        from repro.machine import Machine
-
-        tally = {}
-        monkeypatch.setattr(mp, "Scheduler",
-                            self._counting_scheduler(tally))
-        A, b = _problem(40)
-        res = mp.spmd_cg(
-            Machine(nprocs=p), A, b, criterion=CRIT, faults=faults,
-            resilience=ResilienceConfig(checkpoint_interval=5),
-        )
-        return res, tally
-
-    def test_fresh_start_reduces_bnorm_exactly_once(self, monkeypatch):
-        res, tally = self._run(monkeypatch, faults=None)
-        assert res.converged
-        # tag 13/14 is reserved for the one-shot ||b||^2 allreduce: one
-        # binomial reduce (P-1 sends) + one binomial bcast (P-1 sends)
-        assert tally.get(13, 0) == 3
-        assert tally.get(14, 0) == 3
-
-    def test_crash_restart_does_not_replay_bnorm(self, monkeypatch):
-        plan = FaultPlan(seed=0, crashes=[RankCrash(rank=2, at_time=0.01)])
-        res, tally = self._run(monkeypatch, faults=plan)
-        assert res.converged
-        assert res.extras["resilience"]["crash_restarts"] >= 1
-        # the restarted attempt takes bnorm2 from its snapshot -- the
-        # regression this pins made the count 2 * (P-1) here
-        assert tally.get(13, 0) == 3
-        assert tally.get(14, 0) == 3
+            SimulatedBackend().run(FaultInjectingProgram(prog, plan), 2)
