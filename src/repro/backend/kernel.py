@@ -226,6 +226,13 @@ def jacobi(inv_diag_local: np.ndarray, r):
     return u
 
 
+#: a passing audit whose true residual is above this fraction of the
+#: previous one's counts as stagnant ...
+STAGNATION_FACTOR = 0.999
+#: ... and this many stagnant audits in a row ask for a direction refresh
+STAGNATION_PATIENCE = 3
+
+
 class Guard:
     """Resilience around a recurrence, written once for both of them.
 
@@ -245,6 +252,15 @@ class Guard:
       same reduced values, so they roll back together or not at all; more
       than ``max_restarts`` rollbacks raise
       :class:`~repro.core.resilience.RecoveryExhaustedError`;
+    * **direction refresh**: a corrupted ``p`` keeps ``r = b - A x``
+      (``x += alpha p`` and ``r -= alpha A p`` stay consistent), so no
+      audit flags it; it shows as stagnation instead.  After
+      :data:`STAGNATION_PATIENCE` consecutive passing audits whose true
+      residual shrank by less than :data:`STAGNATION_FACTOR`,
+      :meth:`stalled` asks the classic recurrence to restart its direction
+      from the (preconditioned) residual.  A rollback resets the count.
+      The fused recurrence never needs it: it carries ``s = A p``, so there
+      a corrupted ``p`` breaks the invariant and the audit rolls back;
     * **restart**: :meth:`resume` hands over the driver's checkpoint once
       it has checked that this recurrence can read it: the snapshot's key
       set belongs to the recurrence (``rho, rho0`` classic; ``s, gamma,
@@ -267,10 +283,12 @@ class Guard:
             if program.faults is not None else None
         )
         self.last: Optional[Dict[str, Any]] = None
+        self.last_true: Optional[float] = None
+        self.stagnant = 0
         #: recovery telemetry, returned in the rank's result tuple
         self.counters: Dict[str, Any] = {
             "rollbacks": 0, "audits": 0, "checkpoints_published": 0,
-            "restarted_from": None}
+            "refreshes": 0, "restarted_from": None}
 
     def resume(self, recurrence: str, keys: Tuple[str, ...]):
         """The snapshot to restart from, or ``None`` for a fresh start."""
@@ -331,6 +349,7 @@ class Guard:
         if abs(true_norm - recurrence_norm) > self.opts.sanity_rtol * max(
             bnorm, 1.0e-300
         ):
+            self.last_true, self.stagnant = None, 0
             self.counters["rollbacks"] += 1
             rollbacks = self.counters["rollbacks"]
             if rollbacks > self.opts.max_restarts:
@@ -347,6 +366,20 @@ class Guard:
                     }],
                 )
             return False
+        if self.last_true is not None \
+                and true_norm > STAGNATION_FACTOR * self.last_true:
+            self.stagnant += 1
+        else:
+            self.stagnant = 0
+        self.last_true = true_norm
+        return True
+
+    def stalled(self) -> bool:
+        """``True`` (once) when the audits say the direction must restart."""
+        if self.stagnant < STAGNATION_PATIENCE:
+            return False
+        self.stagnant = 0
+        self.counters["refreshes"] += 1
         return True
 
     def extras(self) -> Dict[str, Any]:
@@ -417,16 +450,17 @@ def classic_cg(op, precond, reducer, guard, b, x, x_nonzero, crit, maxiter):
         residuals = [_norm(rho)]
         p = r.copy()
         k = iterations = 0
+        solved = crit.satisfied(residuals[-1], bnorm)
+        if precond is not None and not solved:
+            p = yield from precond(r)
+            (rho,) = yield from reducer.reduce([(r, p, "r·z")])
         if guard is not None:
-            # checkpoint 0 goes out *before* the converged-at-0 test (the
+            # checkpoint 0 goes out *before* the converged-at-0 return (the
             # fused programs return first): the goldens count it
             yield from guard.publish(0, _pack(_CLASSIC, (
                 0, x, r, p, rho, rho0, residuals, 0, bnorm)), 3.0)
-        if crit.satisfied(residuals[-1], bnorm):
+        if solved:
             return x, residuals, True, 0
-        if precond is not None:
-            p = yield from precond(r)
-            (rho,) = yield from reducer.reduce([(r, p, "r·z")])
 
     converged = False
     while k < maxiter:
@@ -454,27 +488,30 @@ def classic_cg(op, precond, reducer, guard, b, x, x_nonzero, crit, maxiter):
         residuals.append(_norm(rnorm2))
         iterations = k
         stopping = crit.satisfied(residuals[-1], bnorm)
-        if guard is not None:
-            if guard.due(k, stopping):
-                ok = yield from guard.audit(k, x, residuals[-1], bnorm)
-                if not ok:
-                    k, x, r, p, rho, rho0, residuals, iterations, bnorm = \
-                        _unpack(_CLASSIC, guard.last)
-                    yield Compute(3.0 * x.size)  # restore copy cost
-                    continue
-            if k % guard.opts.checkpoint_interval == 0:
-                yield from guard.publish(k, _pack(_CLASSIC, (
-                    k, x, r, p, rho, rho0, residuals, iterations, bnorm)),
-                    3.0)
-        if stopping:
-            converged = True
-            break
-        if precond is not None:
+        if guard is not None and guard.due(k, stopping):
+            ok = yield from guard.audit(k, x, residuals[-1], bnorm)
+            if not ok:
+                k, x, r, p, rho, rho0, residuals, iterations, bnorm = \
+                    _unpack(_CLASSIC, guard.last)
+                yield Compute(3.0 * x.size)  # restore copy cost
+                continue
+            if guard.stalled():
+                # plain CG restart: the next direction update, beta * 0 + r
+                # (or z), makes p the (preconditioned) residual
+                p = np.zeros_like(p)
+        if precond is not None and not stopping:
             z = yield from precond(r)
             rho0 = rho
             (rho,) = yield from reducer.reduce([(r, z, "r·z")])
             p = (rho / rho0) * p + z  # saypx
             yield Compute(2.0 * p.size)
+        # a checkpoint holds the state the next iteration opens with
+        if guard is not None and k % guard.opts.checkpoint_interval == 0:
+            yield from guard.publish(k, _pack(_CLASSIC, (
+                k, x, r, p, rho, rho0, residuals, iterations, bnorm)), 3.0)
+        if stopping:
+            converged = True
+            break
     return x, residuals, converged, iterations
 
 

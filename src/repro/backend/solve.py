@@ -525,10 +525,19 @@ def _resilient_solve(
     is split by layer as :func:`backend_solve` documents: a string
     ``backend`` is built with only the substrate's share (crashes and
     slowdowns); message faults enter at the Comm boundary alone, and the
-    simulated scheduler refuses a plan that carries them.
+    simulated scheduler refuses a plan that carries them.  A crash,
+    slowdown or corruption aimed at a rank the solve does not have raises
+    ``ValueError``: it would otherwise never fire.
     """
     cfg = resilience or ResilienceConfig()
     plan = faults.clone() if faults is not None else None
+    if plan is not None:
+        for entry in (*plan.crash_schedule(), *plan.slowdown_schedule(),
+                      *plan.state_corruption_schedule()):
+            if not 0 <= entry.rank < nprocs:
+                raise ValueError(
+                    f"{entry!r} targets rank {entry.rank}, but the solve "
+                    f"runs on {nprocs} ranks")
     message_faults = plan is not None and plan.message_faults_enabled
     program = build_program(
         checkpoint_interval=cfg.checkpoint_interval,

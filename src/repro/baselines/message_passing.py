@@ -77,8 +77,49 @@ def spmd_cg(
     if b.shape != (n,):
         raise ValueError(f"b must have shape ({n},), got {b.shape}")
     crit = criterion or StoppingCriterion()
-    maxiter = crit.cap(n)
+    if (faults is not None and faults.enabled) or resilience is not None:
+        return _resilient_row_block(machine, A, b, x0, crit, faults,
+                                    resilience)
+    assemble = _assembler(machine, n, "cg")
+    # the same picklable rank program the execution backends run, so the
+    # simulated baseline and a real-process run are the identical program
+    # text (see repro.backend.validate)
+    program = CGRankProgram(A, b, x0=x0, criterion=crit, maxiter=crit.cap(n))
+    return assemble(Scheduler(machine, tag="spmd_cg").run(program))
 
+
+def _resilient_row_block(
+    machine: Machine,
+    A,
+    b: np.ndarray,
+    x0: Optional[np.ndarray],
+    crit: StoppingCriterion,
+    faults: Optional[FaultPlan],
+    resilience: Optional[ResilienceConfig],
+    inv_diag: Optional[np.ndarray] = None,
+    solver: str = "cg",
+) -> SolveResult:
+    """:class:`~repro.backend.programs.ResilientCGProgram` on ``machine``
+    under the one resilient launch: ``spmd_cg``'s fault mode, and the HPF
+    solvers' (``inv_diag`` is ``hpf_pcg``'s Jacobi diagonal)."""
+    assemble = _assembler(machine, A.nrows, solver)
+
+    def build(**guard) -> ResilientCGProgram:
+        program = ResilientCGProgram(A, b, x0=x0, criterion=crit, **guard)
+        program.inv_diag = inv_diag
+        return program
+
+    return _resilient_solve(
+        build, lambda run, program: assemble(run.results),
+        "simulated", {"machine": machine, "tag": "spmd_cg"},
+        machine.nprocs, faults, resilience, store=None,
+        policy="respawn", min_ranks=1,
+    )
+
+
+def _assembler(machine: Machine, n: int, solver: str):
+    """Turn per-rank results into a :class:`SolveResult` carrying the
+    machine's deltas from now on (every recovery attempt included)."""
     clock_before = machine.elapsed()
     stats_before = machine.stats.snapshot()
 
@@ -94,7 +135,7 @@ def spmd_cg(
             converged=converged,
             iterations=iterations,
             history=history,
-            solver="cg",
+            solver=solver,
             strategy="spmd_message_passing",
             machine_elapsed=machine.elapsed() - clock_before,
             comm={
@@ -106,17 +147,4 @@ def spmd_cg(
             extras={},
         )
 
-    if (faults is not None and faults.enabled) or resilience is not None:
-        return _resilient_solve(
-            lambda **guard: ResilientCGProgram(
-                A, b, x0=x0, criterion=crit, maxiter=maxiter, **guard),
-            lambda run, program: assemble(run.results),
-            "simulated", {"machine": machine, "tag": "spmd_cg"},
-            machine.nprocs, faults, resilience, store=None,
-            policy="respawn", min_ranks=1,
-        )
-    # the same picklable rank program the execution backends run, so the
-    # simulated baseline and a real-process run are the identical program
-    # text (see repro.backend.validate)
-    program = CGRankProgram(A, b, x0=x0, criterion=crit, maxiter=maxiter)
-    return assemble(Scheduler(machine, tag="spmd_cg").run(program))
+    return assemble

@@ -33,11 +33,7 @@ from .preconditioners import (
     Preconditioner,
     SSORPreconditioner,
 )
-from .resilience import (
-    RecoveryExhaustedError,
-    ResilienceConfig,
-    ResilienceGuard,
-)
+from .resilience import RecoveryExhaustedError, ResilienceConfig
 from .reference import (
     bicg_reference,
     bicgstab_reference,
@@ -83,7 +79,6 @@ __all__ = [
     "ConvergenceHistory",
     "StoppingCriterion",
     "ResilienceConfig",
-    "ResilienceGuard",
     "RecoveryExhaustedError",
     "saxpy",
     "saypx",

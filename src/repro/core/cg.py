@@ -16,11 +16,10 @@ Any :class:`~repro.core.matvec.MatvecStrategy` supplies the ``q = A p``
 step, so a single driver exercises every data-layout scenario of the
 paper.
 
-With ``faults``/``resilience`` set, the loop gains the checkpoint /
-sanity-audit / rollback machinery of :mod:`repro.core.resilience` (the
-HPF runtime has no message channel, so the injectable faults are the
-plan's silent state corruptions).  Both default to off, leaving the
-fault-free path untouched.
+With ``faults``/``resilience`` set, the solve runs the row-block rank
+program this loop is the HPF spelling of, under the rank programs' one
+guard and recovery driver (:func:`~repro.core.resilience.hpf_fault_mode`).
+Both default to off, leaving the fault-free path untouched.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from ..machine.faults import FaultPlan
 from .driver import finish_solve, start_solve
 from .matvec import MatvecStrategy
-from .resilience import ResilienceConfig, ResilienceGuard
+from .resilience import ResilienceConfig, hpf_fault_mode
 from .result import SolveResult
 from .stopping import StoppingCriterion
 
@@ -48,6 +47,8 @@ def hpf_cg(
     resilience: Optional[ResilienceConfig] = None,
 ) -> SolveResult:
     """Solve ``A x = b`` with distributed CG under the given strategy."""
+    if (faults is not None and faults.enabled) or resilience is not None:
+        return hpf_fault_mode(strategy, b, x0, criterion, faults, resilience)
     ctx = start_solve(strategy, b, x0, criterion)
     p = ctx.new_vector("p")
     q = ctx.new_vector("q")
@@ -58,22 +59,13 @@ def hpf_cg(
     if ctx.stop(ctx.history.final):
         return finish_solve(ctx, "cg", True, 0)
 
-    guard = None
-    if resilience is not None or (faults is not None and faults.enabled):
-        guard = ResilienceGuard(ctx, resilience, faults, tracked={"p": p})
-        guard.save_initial({"rho": rho, "rho0": rho})
-
     converged = False
     iterations = 0
-    k = 0
     rho0 = rho
-    refreshed = False
-    while k < ctx.maxiter:
-        k += 1
-        if k > 1 and not refreshed:
+    for k in range(1, ctx.maxiter + 1):
+        if k > 1:
             beta = rho / rho0
             p.saypx(beta, ctx.r)  # p = beta*p + r
-        refreshed = False
         strategy.apply(p, q)  # q = A p
         pq = p.dot(q)
         if pq == 0.0:
@@ -81,28 +73,12 @@ def hpf_cg(
         alpha = rho / pq
         ctx.x.axpy(alpha, p)  # x = x + alpha p
         ctx.r.axpy(-alpha, q)  # r = r - alpha q
-        if guard is not None:
-            guard.inject(k)
         rho0 = rho
         rho = ctx.r.dot(ctx.r)  # the figure's top-of-loop sdot
         rnorm = float(np.sqrt(max(0.0, rho)))
         ctx.history.append(rnorm)
         iterations = k
-        stopping = ctx.stop(rnorm)
-        if guard is not None:
-            k, scalars, action = guard.after_iteration(
-                k, rnorm, stopping, {"rho": rho, "rho0": rho0}
-            )
-            if action == "rollback":
-                rho, rho0 = scalars["rho"], scalars["rho0"]
-                iterations = k
-                continue
-            if action == "refresh":
-                # flush a possibly-corrupted search direction: plain restart
-                p.assign(ctx.r)
-                refreshed = True
-        if stopping:
+        if ctx.stop(rnorm):
             converged = True
             break
-    extras = {"resilience": guard.overhead()} if guard is not None else None
-    return finish_solve(ctx, "cg", converged, iterations, extras=extras)
+    return finish_solve(ctx, "cg", converged, iterations)

@@ -9,8 +9,9 @@ Preconditioner application is charged according to its parallel structure:
   classic trade-off: fewer iterations, but a sequential bottleneck each
   iteration.
 
-``faults``/``resilience`` enable the checkpoint / sanity-audit / rollback
-machinery of :mod:`repro.core.resilience`, as in :func:`~repro.core.cg.hpf_cg`.
+``faults``/``resilience`` run the Jacobi-preconditioned row-block rank
+program under the rank programs' one guard, as in
+:func:`~repro.core.cg.hpf_cg` (:func:`~repro.core.resilience.hpf_fault_mode`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ..machine.faults import FaultPlan
 from .driver import finish_solve, start_solve
 from .matvec import MatvecStrategy
 from .preconditioners import Preconditioner
-from .resilience import ResilienceConfig, ResilienceGuard
+from .resilience import ResilienceConfig, hpf_fault_mode
 from .result import SolveResult
 from .stopping import StoppingCriterion
 
@@ -67,13 +68,15 @@ def hpf_pcg(
     resilience: Optional[ResilienceConfig] = None,
 ) -> SolveResult:
     """Solve ``A x = b`` with distributed preconditioned CG."""
+    if (faults is not None and faults.enabled) or resilience is not None:
+        return hpf_fault_mode(strategy, b, x0, criterion, faults, resilience,
+                              preconditioner)
     ctx = start_solve(strategy, b, x0, criterion)
     rnorm = ctx.r.norm2()
     ctx.history.append(rnorm)
+    extras = {"preconditioner": preconditioner.name}
     if ctx.stop(rnorm):
-        return finish_solve(
-            ctx, "pcg", True, 0, extras={"preconditioner": preconditioner.name}
-        )
+        return finish_solve(ctx, "pcg", True, 0, extras=extras)
 
     z = ctx.new_vector("z")
     p = ctx.new_vector("p")
@@ -82,16 +85,9 @@ def hpf_pcg(
     p.assign(z)
     rho = ctx.r.dot(z)
 
-    guard = None
-    if resilience is not None or (faults is not None and faults.enabled):
-        guard = ResilienceGuard(ctx, resilience, faults, tracked={"p": p, "z": z})
-        guard.save_initial({"rho": rho})
-
     converged = False
     iterations = 0
-    k = 0
-    while k < ctx.maxiter:
-        k += 1
+    for k in range(1, ctx.maxiter + 1):
         strategy.apply(p, q)
         pq = p.dot(q)
         if pq == 0.0:
@@ -99,38 +95,15 @@ def hpf_pcg(
         alpha = rho / pq
         ctx.x.axpy(alpha, p)
         ctx.r.axpy(-alpha, q)
-        if guard is not None:
-            guard.inject(k)
         rnorm = ctx.r.norm2()
         ctx.history.append(rnorm)
         iterations = k
-        stopping = ctx.stop(rnorm)
-        if guard is None and stopping:
+        if ctx.stop(rnorm):
             converged = True
             break
-        if not stopping:
-            _apply_preconditioner(preconditioner, ctx.r, z)
-            rho0 = rho
-            rho = ctx.r.dot(z)
-            beta = rho / rho0
-            p.saypx(beta, z)  # p = beta*p + z
-        if guard is not None:
-            # checkpoint after the end-of-body update so a rollback resumes
-            # with a consistent (p, z, rho) triple
-            k, scalars, action = guard.after_iteration(
-                k, rnorm, stopping, {"rho": rho}
-            )
-            if action == "rollback":
-                rho = scalars["rho"]
-                iterations = k
-                continue
-            if action == "refresh":
-                # flush a possibly-corrupted search direction: restart on z
-                p.assign(z)
-            if stopping:
-                converged = True
-                break
-    extras = {"preconditioner": preconditioner.name}
-    if guard is not None:
-        extras["resilience"] = guard.overhead()
+        _apply_preconditioner(preconditioner, ctx.r, z)
+        rho0 = rho
+        rho = ctx.r.dot(z)
+        beta = rho / rho0
+        p.saypx(beta, z)  # p = beta*p + z
     return finish_solve(ctx, "pcg", converged, iterations, extras=extras)

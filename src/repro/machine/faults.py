@@ -222,9 +222,10 @@ class StateCorruption:
     """Silent corruption of solver state at iteration ``iteration``.
 
     ``target`` is one of ``"x"``, ``"r"``, ``"p"``; ``rank`` selects which
-    rank's local block is hit in SPMD solvers (ignored by the HPF solvers,
-    which hold logically-global state).  ``scale`` sets the magnitude of the
-    injected error relative to the perturbed entry.
+    rank's local block is hit (the HPF solvers' fault mode runs the
+    row-block rank program, so it applies there too; a rank the solve does
+    not have is refused).  ``scale`` sets the magnitude of the injected
+    error relative to the perturbed entry.
     """
 
     iteration: int
@@ -623,17 +624,16 @@ class FaultPlan:
     # silent state corruption (consulted by the solvers)
     # ------------------------------------------------------------------ #
     def take_state_corruption(
-        self, iteration: int, rank: Optional[int] = None
+        self, iteration: int, rank: int
     ) -> Optional[StateCorruption]:
-        """Pop the corruption scheduled for ``iteration`` (and ``rank``).
+        """Pop the corruption scheduled for ``iteration`` on ``rank``.
 
-        HPF solvers pass ``rank=None`` (global state, any entry matches);
-        SPMD rank programs pass their own rank so only the targeted rank
+        Each rank program passes its own rank, so only the targeted rank
         applies the perturbation.  Consumed-once, so a rolled-back solver
         does not re-corrupt itself on the replayed iterations.
         """
         for i, c in enumerate(self._corruptions):
-            if c.iteration == iteration and (rank is None or c.rank == rank):
+            if c.iteration == iteration and c.rank == rank:
                 self.stats.state_corruptions += 1
                 return self._corruptions.pop(i)
         return None
