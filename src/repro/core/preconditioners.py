@@ -84,6 +84,46 @@ class JacobiPreconditioner(Preconditioner):
         return float(self.inv_diag.size)
 
 
+def _sweep_operands(T, lower: bool, invdiag: np.ndarray) -> tuple:
+    """SuperLU ``gstrs`` operands of one triangular sweep ``T y = b``.
+
+    This is the matrix-only half of scipy's sparse triangular solve for a
+    CSR ``T``, run once: its CSC transpose scaled to a unit diagonal
+    (``T @ diag(invdiag)``, duplicates summed), paired with the identity
+    (a lower ``T`` is an upper CSC, diagonal zeroed) or an empty matrix,
+    index arrays cast to ``intc``.  Returned as plain ``(n, nnz, data,
+    indices, indptr)`` twice, so :func:`_sweep` is bitwise that solve
+    (``tests/test_preconditioners.py::TestSSORSweepParity``).
+    """
+    import scipy.sparse as sp
+
+    n = T.shape[0]
+    A = (T @ sp.diags_array(invdiag)).T
+    A.sum_duplicates()
+    if lower:
+        L, U = sp.eye_array(n, format="csc"), A
+        U.setdiag(0)
+    else:
+        L, U = A, sp.csc_array((n, n))
+    if max(L.nnz, U.nnz) > np.iinfo(np.intc).max:
+        raise ValueError("SuperLU takes 32-bit indices; matrix too large")
+    return tuple(
+        x for M in (L, U) for x in (
+            n, M.nnz, M.data,
+            M.indices.astype(np.intc), M.indptr.astype(np.intc),
+        )
+    )
+
+
+def _sweep(gstrs, operands: tuple, b: np.ndarray,
+           invdiag: np.ndarray) -> np.ndarray:
+    """Solve one prepared sweep; ``b`` (float64) is overwritten."""
+    x, info = gstrs("T", *operands, b)
+    if info:
+        raise np.linalg.LinAlgError("A is singular.")
+    return x * invdiag
+
+
 class SSORPreconditioner(Preconditioner):
     """Symmetric SOR preconditioner.
 
@@ -91,6 +131,13 @@ class SSORPreconditioner(Preconditioner):
     The two triangular sweeps are recurrences along the unknown index, so
     the apply is *serial* -- the distributed PCG charges it as serialised
     work, exhibiting the parallelism-vs-convergence trade-off.
+
+    Both sweep operators are fixed, so they are prepared once, at
+    construction (:func:`_sweep_operands`): an apply is two SuperLU
+    substitutions and three diagonal scalings, bitwise what scipy's
+    per-call triangular solve gives on the same operators.  The instance
+    keeps only plain arrays: each sweep's ``gstrs`` operands, the one
+    inverse diagonal ``w / d`` both sweeps share, and the middle scaling.
     """
 
     parallel = False
@@ -99,6 +146,8 @@ class SSORPreconditioner(Preconditioner):
         if not 0.0 < omega < 2.0:
             raise ValueError("SSOR requires 0 < omega < 2")
         import scipy.sparse as sp
+        # loaded here, not by the first apply, which would pay for it
+        import scipy.sparse.linalg._dsolve._superlu  # noqa: F401
 
         A = as_matrix(matrix).to_scipy().tocsr()
         d = A.diagonal()
@@ -107,23 +156,29 @@ class SSORPreconditioner(Preconditioner):
         self.omega = float(omega)
         n = A.shape[0]
         D = sp.diags(d)
-        L = sp.tril(A, k=-1)
-        U = sp.triu(A, k=1)
-        self._lower = (D / omega + L).tocsr()  # forward sweep operator
-        self._upper = (D / omega + U).tocsr()  # backward sweep operator
+        lower = (D / omega + sp.tril(A, k=-1)).tocsr()  # forward sweep
+        upper = (D / omega + sp.triu(A, k=1)).tocsr()  # backward sweep
+        self._invdiag = 1.0 / lower.diagonal()  # upper's diagonal is the same
+        self._forward = _sweep_operands(lower, True, self._invdiag)
+        self._backward = _sweep_operands(upper, False, self._invdiag)
         self._d_scale = d * ((2.0 - omega) / omega)
         self._nnz = A.nnz
         self._n = n
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        # imported per call on purpose: stored on the instance it would ride
-        # every pickled multigrid program (the smoother is part of it), and
-        # at module level it would load scipy into every rank process
-        from scipy.sparse.linalg import spsolve_triangular
+        # imported per call on purpose: a module-level import would load
+        # scipy into every rank process, and the instance holds only numpy
+        # arrays so that the pickled multigrid program (the smoother is part
+        # of it) carries no scipy object
+        from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-        y = spsolve_triangular(self._lower, r, lower=True)
-        y = y * self._d_scale
-        return spsolve_triangular(self._upper, y, lower=False)
+        b = np.array(r, dtype=np.float64)  # gstrs overwrites its rhs
+        if b.shape != (self._n,):
+            raise ValueError(
+                f"r has shape {b.shape}, expected ({self._n},)"
+            )
+        y = _sweep(gstrs, self._forward, b, self._invdiag) * self._d_scale
+        return _sweep(gstrs, self._backward, y, self._invdiag)
 
     @property
     def flops_per_apply(self) -> float:

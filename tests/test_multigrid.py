@@ -51,6 +51,14 @@ class TestHierarchy:
         with pytest.raises(ValueError, match="rows"):
             MultigridPreconditioner(fine, (4, 4, 4))
 
+    def test_scipy_and_dense_inputs_apply_bitwise(self, fine, mg, rng):
+        r = rng.standard_normal(fine.nrows)
+        want = mg.solve(r)
+        for form in (fine.to_scipy(), fine.toarray()):
+            got = MultigridPreconditioner(form, (8, 8, 8)).solve(r)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
     def test_name_and_serial(self, mg):
         assert mg.name == "mg"
         assert not mg.parallel

@@ -12,7 +12,14 @@ from repro.core import (
     cg_reference,
     pcg_reference,
 )
-from repro.sparse import COOMatrix, poisson2d, rhs_for_solution
+from repro.hpcg import MultigridPreconditioner, hpcg_solve
+from repro.sparse import (
+    COOMatrix,
+    nas_cg_style,
+    poisson2d,
+    rhs_for_solution,
+    stencil27,
+)
 
 TIGHT = StoppingCriterion(rtol=1e-10, maxiter=2000)
 
@@ -97,6 +104,89 @@ class TestSSOR:
         M_inv = np.column_stack([p.solve(e) for e in np.eye(n)])
         assert np.allclose(M_inv, M_inv.T, atol=1e-10)
         assert (np.linalg.eigvalsh((M_inv + M_inv.T) / 2) > 0).all()
+
+
+def _spsolve_ssor(matrix, r, omega):
+    """SSOR apply as two per-call ``spsolve_triangular`` sweeps (oracle)."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve_triangular
+
+    A = matrix.to_scipy().tocsr()
+    d = A.diagonal()
+    D = sp.diags(d)
+    lower = (D / omega + sp.tril(A, k=-1)).tocsr()
+    upper = (D / omega + sp.triu(A, k=1)).tocsr()
+    y = spsolve_triangular(lower, r, lower=True)
+    y = y * (d * ((2.0 - omega) / omega))
+    return spsolve_triangular(upper, y, lower=False)
+
+
+class TestSSORSweepParity:
+    """The prepared sweeps are bitwise the per-call ``spsolve_triangular``.
+
+    They hand SuperLU's private ``gstrs`` the operands that function builds;
+    a scipy release that changes either side fails here first.
+    """
+
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize(
+        "make", [lambda: stencil27(32), lambda: stencil27(16),
+                 lambda: stencil27(8), lambda: stencil27(4),
+                 lambda: nas_cg_style(2000)],
+        ids=["stencil27-32", "stencil27-16", "stencil27-8", "stencil27-4",
+             "nas_cg_style-2000"])
+    def test_bitwise_equal_to_spsolve_triangular(self, make, omega):
+        A = make()
+        r = np.random.default_rng(7).standard_normal(A.nrows)
+        z = SSORPreconditioner(A, omega=omega).solve(r)
+        ref = _spsolve_ssor(A, r, omega)
+        np.testing.assert_array_equal(z.view(np.int64), ref.view(np.int64))
+
+    def test_wrong_length_rejected(self, spd_small):
+        p = SSORPreconditioner(spd_small)
+        with pytest.raises(ValueError):
+            p.solve(np.ones(spd_small.nrows + 1))
+
+    def test_zero_diagonal_rejected(self):
+        m = COOMatrix([0, 1], [1, 0], [1.0, 1.0], shape=(2, 2))
+        with pytest.raises(ValueError, match="diagonal"):
+            SSORPreconditioner(m)
+
+
+class TestNoPreparationPerApply:
+    """Applies run on the operands prepared at construction only."""
+
+    @staticmethod
+    def _forbid_spsolve(monkeypatch):
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spsolve_triangular called during an apply")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", refuse)
+
+    def test_multigrid_apply(self, monkeypatch):
+        A = stencil27(8)
+        mg = MultigridPreconditioner(A, (8, 8, 8))
+        r = np.random.default_rng(3).standard_normal(A.nrows)
+        want = mg.solve(r)
+        self._forbid_spsolve(monkeypatch)
+        np.testing.assert_array_equal(mg.solve(r), want)
+
+    def test_ssor_pcg(self, spd_medium, monkeypatch):
+        b = np.random.default_rng(4).standard_normal(spd_medium.nrows)
+        want = pcg_reference(spd_medium, b, SSORPreconditioner(spd_medium))
+        self._forbid_spsolve(monkeypatch)
+        got = pcg_reference(spd_medium, b, SSORPreconditioner(spd_medium))
+        assert got.iterations == want.iterations
+        np.testing.assert_array_equal(got.x, want.x)
+
+    def test_hpcg_mg_solve(self, monkeypatch):
+        want = hpcg_solve(8, precond="mg", backend="simulated", nprocs=2)
+        self._forbid_spsolve(monkeypatch)
+        got = hpcg_solve(8, precond="mg", backend="simulated", nprocs=2)
+        assert got.converged and got.iterations == want.iterations
+        np.testing.assert_array_equal(got.x, want.x)
 
 
 class TestNeumann:
