@@ -382,7 +382,10 @@ class CscSerial(MatvecStrategy):
 
     "As in the dense case, there are dependencies between j-iterations and
     no parallel loop execution is possible."  Compute is serialised and
-    every remote ``q(row(k))`` update is a message to the owner.
+    every remote ``q(row(k))`` update is a message to the owner.  The
+    layout is fixed for the strategy's lifetime, so the per-rank flops and
+    the update messages are counted once, at construction, and every apply
+    only charges them.
     """
 
     name = "csc_serial"
@@ -396,39 +399,38 @@ class CscSerial(MatvecStrategy):
         self._block = CompressedBlock(
             self.csc.indptr, self.csc.indices, self.csc.data
         )
+        nprocs = machine.nprocs
+        cols = self._block.major
+        col_owner = self._dist.owners(cols)
+        #: serialised compute: 2 flops per nonzero, charged to its column's owner
+        self._flops = np.array(
+            [2.0 * float(np.count_nonzero(col_owner == r)) for r in range(nprocs)]
+        )
+        # one message per (column, remote q-owner) pair, one word per update
+        row_owner = self._dist.owners(self._block.indices)
+        remote = row_owner != col_owner
+        self._p2p_messages = int(np.unique(
+            cols[remote].astype(np.int64) * nprocs + row_owner[remote]
+        ).size)
+        self._p2p_words = float(np.count_nonzero(remote))
 
     def vector_distribution(self) -> Distribution:
         return self._dist
 
     def apply(self, p: DistributedArray, q: DistributedArray, tag: str = "matvec") -> None:
         self._check_vectors(p, q)
-        nprocs = self.machine.nprocs
-        indices, cols = self._block.indices, self._block.major
         p_full = p.to_global()  # p(j) is local to column j's owner
         total = self._block.rmatvec(p_full, self.n)
-        # serialised compute: 2 flops per nonzero, one rank at a time
-        flops = np.zeros(nprocs)
-        col_owner_all = self._dist.owners(cols)
-        for r in range(nprocs):
-            flops[r] = 2.0 * float(np.count_nonzero(col_owner_all == r))
-        self.machine.charge_serialized_compute(flops)
-        if nprocs > 1:
-            # one message per (column, remote q-owner) pair, serialised
-            row_owner = self._dist.owners(indices)
-            remote = row_owner != col_owner_all
-            if remote.any():
-                pair_ids = (
-                    cols[remote].astype(np.int64) * nprocs + row_owner[remote]
-                )
-                pairs, counts = np.unique(pair_ids, return_counts=True)
-                messages = int(pairs.size)
-                words = float(counts.sum())
-                time = float(
-                    messages * self.machine.cost.t_startup
-                    + words * self.machine.cost.t_comm
-                )
-                self.machine.charge_comm_interval("p2p", messages, words, time, tag)
-        for r in range(nprocs):
+        self.machine.charge_serialized_compute(self._flops)
+        if self._p2p_messages:
+            # the remote updates, serialised
+            messages, words = self._p2p_messages, self._p2p_words
+            time = float(
+                messages * self.machine.cost.t_startup
+                + words * self.machine.cost.t_comm
+            )
+            self.machine.charge_comm_interval("p2p", messages, words, time, tag)
+        for r in range(self.machine.nprocs):
             q.local(r)[:] = total[self._dist.local_indices_cached(r)]
 
     def apply_transpose(

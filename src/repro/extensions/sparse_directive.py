@@ -17,11 +17,16 @@ distributed arrays, keeps ``idx``/``val`` permanently aligned, derives the
 :class:`~repro.extensions.atoms.IndivisableSpec` (one atom per row/column),
 and implements the atom redistributions including ``REDISTRIBUTE smA USING
 CG_BALANCED_PARTITIONER_1``.
+
+The locality inspection behind the prefetch charge is a per-layout plan,
+the inspector--executor split of the paper's ref [20]: it runs on first use
+and again only once ``ptr`` or ``idx`` holds a different distribution
+object, so every apply between two REDISTRIBUTEs only charges.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +39,22 @@ from .atom_dist import atom_block, atom_block_balanced
 from .atoms import IndivisableSpec
 
 __all__ = ["SparseMatrixBinding"]
+
+
+class _PrefetchPlan(NamedTuple):
+    """The element prefetch of one (pointer, element) layout pair."""
+
+    #: the layouts inspected, held by reference: a REDISTRIBUTE installs a
+    #: new distribution object, which is what retires the plan
+    ptr_dist: Distribution
+    elem_dist: Distribution
+    #: per-rank count of element entries its atoms need but do not own
+    #: (read-only)
+    counts: np.ndarray
+    #: distinct (needer, owner) rank pairs -- one message each
+    messages: int
+    #: ranks that fetch anything
+    participants: Tuple[int, ...]
 
 
 class SparseMatrixBinding:
@@ -102,6 +123,7 @@ class SparseMatrixBinding:
         )
         self.val.align_with(self.idx)
         self.atom_cuts: Optional[np.ndarray] = None
+        self._plan: Optional[_PrefetchPlan] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -193,6 +215,47 @@ class SparseMatrixBinding:
         # atom i is owned by the owner of pointer element i
         return self.ptr.distribution.owners(np.arange(self.n, dtype=np.int64))
 
+    def _prefetch_plan(self) -> _PrefetchPlan:
+        """The locality inspection of the current layout, built on first use.
+
+        The plan is rebuilt when ``ptr`` or ``idx`` holds a different
+        distribution object from the one it was built for.  That one rule
+        covers every layout change -- the ``redistribute_*`` methods and a
+        direct ``redistribute`` of any trio member (``val`` cascades to
+        ``idx`` through their alignment group) -- so there is no
+        invalidation call to forget.
+        """
+        plan = self._plan
+        if (
+            plan is None
+            or plan.ptr_dist is not self.ptr.distribution
+            or plan.elem_dist is not self.elem_dist
+        ):
+            plan = self._plan = self._inspect()
+        return plan
+
+    def _inspect(self) -> _PrefetchPlan:
+        """Compare every element's owner with the owner of its atom."""
+        nprocs = self.machine.nprocs
+        counts = np.zeros(nprocs, dtype=np.int64)
+        messages = 0
+        if self.nnz:
+            elements = np.arange(self.nnz, dtype=np.int64)
+            elem_owner = self.elem_dist.owners(elements)
+            elem_atoms = self.indivisable_spec().atom_of_element(elements)
+            # rank that computes with element k
+            needed_by = self.atom_owner_of_rows()[elem_atoms]
+            nonlocal_mask = needed_by != elem_owner
+            np.add.at(counts, needed_by[nonlocal_mask], 1)
+            messages = int(np.unique(
+                needed_by[nonlocal_mask] * nprocs + elem_owner[nonlocal_mask]
+            ).size)
+        counts.setflags(write=False)
+        return _PrefetchPlan(
+            self.ptr.distribution, self.elem_dist, counts, messages,
+            tuple(np.nonzero(counts)[0].tolist()),
+        )
+
     def nonlocal_elements(self) -> np.ndarray:
         """Per-rank count of element entries its atoms need but does not own.
 
@@ -200,20 +263,9 @@ class SparseMatrixBinding:
         all the actual data elements (i.e., col and a) on that row.
         Therefore, additional communication is needed to bring in those
         missing elements."  This is the quantity benchmark E7 measures.
+        Read from the layout's prefetch plan; the result is a fresh copy.
         """
-        nprocs = self.machine.nprocs
-        out = np.zeros(nprocs, dtype=np.int64)
-        if self.nnz == 0:
-            return out
-        elem_owner = self.elem_dist.owners(np.arange(self.nnz, dtype=np.int64))
-        atom_owner = self.atom_owner_of_rows()
-        spec = self.indivisable_spec()
-        elem_atoms = spec.atom_of_element(np.arange(self.nnz, dtype=np.int64))
-        needed_by = atom_owner[elem_atoms]  # rank that computes with element k
-        out_counts = np.zeros(nprocs, dtype=np.int64)
-        nonlocal_mask = needed_by != elem_owner
-        np.add.at(out_counts, needed_by[nonlocal_mask], 1)
-        return out_counts
+        return self._prefetch_plan().counts.copy()
 
     def charge_prefetch(self, tag: str = "prefetch") -> float:
         """Charge the machine for fetching all non-local atom elements.
@@ -221,29 +273,23 @@ class SparseMatrixBinding:
         Models the directive's locality rule: the compiler knows the trio
         relation and prefetches ``col``/``a`` entries for each locally
         owned ``row`` entry in bulk (index + value words per element, one
-        message per source rank).
+        message per source rank).  The counts come from the layout's
+        prefetch plan, inspected once per layout, so an apply only charges.
         """
-        counts = self.nonlocal_elements()
-        total_words = float(2 * counts.sum())  # an index word + a value word
+        plan = self._prefetch_plan()
+        total_words = float(2 * plan.counts.sum())  # an index word + a value word
         if total_words == 0:
             return 0.0
         nprocs = self.machine.nprocs
-        # message count: distinct (needer, owner) pairs
-        elem_owner = self.elem_dist.owners(np.arange(self.nnz, dtype=np.int64))
-        spec = self.indivisable_spec()
-        elem_atoms = spec.atom_of_element(np.arange(self.nnz, dtype=np.int64))
-        needed_by = self.atom_owner_of_rows()[elem_atoms]
-        mask = needed_by != elem_owner
-        pairs = np.unique(needed_by[mask] * nprocs + elem_owner[mask])
         cost = self.machine.cost
-        per_rank_words = 2.0 * counts.astype(float)
+        per_rank_words = 2.0 * plan.counts.astype(float)
         time = float(
             (per_rank_words * cost.t_comm).max()
-            + cost.t_startup * max(1, int(np.ceil(pairs.size / nprocs)))
+            + cost.t_startup * max(1, int(np.ceil(plan.messages / nprocs)))
         )
         self.machine.charge_comm_interval(
-            "prefetch", int(pairs.size), total_words, time, tag,
-            participants=np.nonzero(counts)[0].tolist(),
+            "prefetch", plan.messages, total_words, time, tag,
+            participants=plan.participants,
         )
         return time
 

@@ -16,6 +16,7 @@ for the data motion).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List, Optional
 
 from .distribution import Distribution
@@ -32,11 +33,31 @@ class AlignmentGroup:
 
     The first array is the alignment target; members follow its
     distribution forever after.
+
+    Ownership runs one way, so the arrays form no reference cycle and free
+    by reference counting alone: the target holds its group, the group
+    holds its other members, and the group's reference to the target and
+    each member's reference to the group are weak.  A member kept alive
+    only by the group therefore lives as long as the target.  When the
+    target dies the group dies with it, and a member still referenced
+    elsewhere becomes ungrouped (``group is None``), keeping its data and
+    distribution.
     """
 
     def __init__(self, target: "DistributedArray"):
-        self.target = target
-        self.members: List["DistributedArray"] = [target]
+        self._target = weakref.ref(target)
+        self._followers: List["DistributedArray"] = []
+
+    @property
+    def target(self) -> Optional["DistributedArray"]:
+        """The alignment target, or ``None`` once it has been freed."""
+        return self._target()
+
+    @property
+    def members(self) -> List["DistributedArray"]:
+        """The target (while it lives) followed by the aligned arrays."""
+        target = self.target
+        return ([] if target is None else [target]) + self._followers
 
     def add(self, array: "DistributedArray") -> None:
         """Identity-align ``array`` with the group's target.
@@ -45,21 +66,24 @@ class AlignmentGroup:
         necessary (this is creation-time layout, not runtime traffic, so it
         is not charged to the machine).
         """
-        if array in self.members:
+        target = self.target
+        if array is target or array in self._followers:
             return
-        if array.n != self.target.n:
+        if target is None:
+            raise AlignmentError("the group's alignment target has been freed")
+        if array.n != target.n:
             raise AlignmentError(
                 f"cannot align extent {array.n} with target extent "
-                f"{self.target.n} (only identity alignment is supported)"
+                f"{target.n} (only identity alignment is supported)"
             )
         if array.group is not None and array.group is not self:
             raise AlignmentError(
                 f"array {array.name!r} already belongs to another alignment group"
             )
-        if not array.distribution.same_mapping(self.target.distribution):
-            array._relayout(self.target.distribution)
+        if not array.distribution.same_mapping(target.distribution):
+            array._relayout(target.distribution)
         array.group = self
-        self.members.append(array)
+        self._followers.append(array)
 
     def redistribute(
         self, new_distribution: Distribution, charge: bool = True
@@ -78,7 +102,9 @@ class AlignmentGroup:
         return len(self.members)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"AlignmentGroup(target={self.target.name!r}, size={len(self.members)})"
+        target = self.target
+        name = None if target is None else target.name
+        return f"AlignmentGroup(target={name!r}, size={len(self.members)})"
 
 
 def aligned(*arrays: "DistributedArray") -> bool:

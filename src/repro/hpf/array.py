@@ -23,6 +23,7 @@ replicated -- ``(BLOCK, *)`` or ``(*, BLOCK)``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -77,7 +78,7 @@ class DistributedArray:
         self.distribution = distribution
         self.dtype = np.dtype(dtype)
         self.name = name
-        self.group: Optional[AlignmentGroup] = None
+        self._group = None  # the group itself if the target, else a weakref
         self._locals: List[np.ndarray] = [
             np.full(distribution.local_count(r), fill, dtype=self.dtype)
             for r in range(machine.nprocs)
@@ -152,6 +153,26 @@ class DistributedArray:
     # ------------------------------------------------------------------ #
     # alignment / redistribution
     # ------------------------------------------------------------------ #
+    @property
+    def group(self) -> Optional[AlignmentGroup]:
+        """The alignment group this array belongs to, or ``None``.
+
+        The target holds its group; a member holds it weakly, and is
+        ungrouped once the target is gone (see :class:`AlignmentGroup`).
+        """
+        group = self._group
+        if isinstance(group, weakref.ref):
+            group = group()
+            if group is None or group.target is None:
+                return None
+        return group
+
+    @group.setter
+    def group(self, group: Optional[AlignmentGroup]) -> None:
+        if group is not None and group.target is not self:
+            group = weakref.ref(group)
+        self._group = group
+
     def align_with(self, target: "DistributedArray") -> "DistributedArray":
         """``ALIGN self(:) WITH target(:)`` -- join the target's group."""
         if target.group is None:

@@ -12,6 +12,7 @@ from repro.core.matvec import (
     CsrForall,
     RowBlockDense,
 )
+from repro.extensions.atoms import IndivisableSpec
 from repro.hpf import AlignmentError, Block, DistributedArray, IrregularBlock
 from repro.machine import Machine
 from repro.sparse import figure1_matrix, irregular_powerlaw, poisson2d
@@ -178,6 +179,52 @@ class TestCsrForall:
         y = strat.make_vector("y")
         strat.apply_transpose(x, y)
         assert "reduce_scatter" in m.stats.by_op()
+
+
+class TestNoInspectionPerApply:
+    """The layout is inspected at most once: later applies only charge."""
+
+    @staticmethod
+    def _spy(calls, real):
+        def spy(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return spy
+
+    @staticmethod
+    def _apply_five_times_each_way(strat, rng):
+        p = strat.make_vector("p", rng.standard_normal(strat.n))
+        q = strat.make_vector("q")
+        for _ in range(5):
+            strat.apply(p, q)
+            strat.apply_transpose(p, q)
+
+    @pytest.mark.parametrize("name", ["csr_forall", "csr_forall_aligned"])
+    def test_csr_forall_charges_from_its_plan(self, name, monkeypatch, rng):
+        A = irregular_powerlaw(120, seed=4)
+        strat = make_strategy(name, Machine(nprocs=4), A)
+        calls = []
+        monkeypatch.setattr(
+            IndivisableSpec, "atom_of_element",
+            self._spy(calls, IndivisableSpec.atom_of_element),
+        )
+        p = strat.make_vector("p", rng.standard_normal(120))
+        strat.apply(p, strat.make_vector("q"))  # may build the plan
+        calls.clear()
+        self._apply_five_times_each_way(strat, rng)
+        assert calls == []
+
+    def test_csc_serial_counts_at_construction(self, monkeypatch, rng):
+        A = irregular_powerlaw(120, seed=4)
+        strat = CscSerial(Machine(nprocs=4), A)
+        calls = []
+        monkeypatch.setattr(strat._dist, "owners", self._spy(calls, strat._dist.owners))
+        p = strat.make_vector("p", rng.standard_normal(120))
+        strat.apply(p, strat.make_vector("q"))
+        calls.clear()
+        self._apply_five_times_each_way(strat, rng)
+        assert calls == []
 
 
 class TestCscVariants:

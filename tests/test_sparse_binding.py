@@ -123,3 +123,82 @@ class TestPointerConsistencyAfterAtoms:
             if r == 3:
                 expected = figure1_matrix().indptr[lo:].astype(float)
             assert np.allclose(local_ptr, expected)
+
+
+def _elements_cyclic(b, initial):
+    b.redistribute_elements(Cyclic(b.nnz, 4))
+
+
+#: every way the trio's layout can change between two prefetch charges, as
+#: steps ``(binding, initial element distribution) -> None``
+LAYOUT_CHANGES = {
+    "elements_cyclic": [_elements_cyclic],
+    "atoms_uniform": [lambda b, _: b.redistribute_atoms_uniform()],
+    "atoms_balanced": [lambda b, _: b.redistribute_atoms_balanced()],
+    "partitioner": [
+        lambda b, _: b.apply_partitioner("CG_BALANCED_PARTITIONER_1")
+    ],
+    "val_cascades_to_idx": [lambda b, _: b.val.redistribute(Cyclic(b.nnz, 4))],
+    "ptr_direct": [lambda b, _: b.ptr.redistribute(Cyclic(b.n + 1, 4))],
+    "back_to_original_object": [
+        _elements_cyclic,
+        lambda b, initial: b.redistribute_elements(initial),
+    ],
+}
+
+
+class TestPrefetchPlan:
+    """The per-layout plan is rebuilt whenever the layout changes."""
+
+    @staticmethod
+    def _matrix():
+        return irregular_powerlaw(200, seed=5).to_csr()
+
+    @staticmethod
+    def _charge(binding):
+        """One prefetch on zeroed clocks: its full accounting."""
+        m = binding.machine
+        m.reset()
+        t = binding.charge_prefetch(tag="probe")
+        return (
+            t,
+            m.elapsed(),
+            m.stats.total_messages,
+            m.stats.total_words,
+            list(m.stats.comm_records),
+            binding.nonlocal_elements().tolist(),
+        )
+
+    @staticmethod
+    def _fresh_like(binding):
+        """A new binding, on a new machine, built with ``binding``'s layout."""
+        fresh = SparseMatrixBinding(
+            Machine(nprocs=4), binding.matrix, elem_dist=binding.elem_dist
+        )
+        fresh.ptr.redistribute(binding.ptr.distribution, charge=False)
+        return fresh
+
+    @pytest.mark.parametrize("change", sorted(LAYOUT_CHANGES))
+    def test_charge_follows_layout_change(self, change):
+        b = SparseMatrixBinding(Machine(nprocs=4), self._matrix())
+        initial = b.elem_dist
+        for step in LAYOUT_CHANGES[change]:
+            stale = self._charge(b)  # builds the plan of the current layout
+            step(b, initial)
+        self._charge(b)  # a stale plan would be reused here
+        after = self._charge(b)
+        assert after == self._charge(self._fresh_like(b))
+        assert after != stale  # the change is visible in the charge
+
+    def test_val_redistribute_moves_idx(self):
+        b = SparseMatrixBinding(Machine(nprocs=4), self._matrix())
+        b.val.redistribute(Cyclic(b.nnz, 4))
+        assert isinstance(b.idx.distribution, Cyclic)
+
+    def test_returned_counts_do_not_alias_the_plan(self):
+        b = SparseMatrixBinding(Machine(nprocs=4), self._matrix())
+        before = self._charge(b)
+        counts = b.nonlocal_elements()
+        counts[:] = 0
+        assert self._charge(b) == before
+        assert b.nonlocal_elements().tolist() == before[-1]
