@@ -19,11 +19,12 @@ not exist.
 Each run goes through :func:`repro.backend.solve.backend_solve` with
 resilience on, i.e. the full stack under test: Comm-level injection,
 reliable ARQ transport, in-program audits/rollbacks, substrate crash
-injection and the respawn-from-checkpoint recovery driver.  The outcome is
-compared against a fault-free reference solve and classified by
-:func:`classify_failure`; an *unclassified* exception propagates and fails
-the harness, because an unknown failure mode is exactly what chaos testing
-exists to surface.
+injection and the respawn-from-checkpoint recovery driver.  The answer is
+held to a fault-free reference by :func:`judge` and a failure is
+classified by :func:`classify_failure`; an *unclassified* exception
+propagates and fails the harness, because an unknown failure mode is
+exactly what chaos testing exists to surface.  The service soak draws and
+judges its jobs with the same :func:`chaos_plan` and :func:`judge`.
 
 ``repro chaos`` (the CLI) and benchmark E21 are thin wrappers over
 :func:`chaos_sweep` / :func:`format_report`.
@@ -58,12 +59,16 @@ from .solve import backend_solve
 __all__ = [
     "ChaosOutcome",
     "chaos_plan",
+    "chaos_reference",
     "chaos_run",
     "chaos_sweep",
     "classify_failure",
     "is_retryable",
+    "judge",
     "format_report",
     "CHAOS_BACKENDS",
+    "CHAOS_CRITERION",
+    "CHAOS_RESILIENCE",
     "CHAOS_SCENARIOS",
 ]
 
@@ -75,6 +80,23 @@ CHAOS_SCENARIOS = ("poisson1d", "stencil27")
 
 #: default 3-D grid for the ``stencil27`` scenario
 _STENCIL_SHAPE = (6, 6, 6)
+
+#: the stopping rule of every chaos solve and of its reference
+CHAOS_CRITERION = StoppingCriterion(rtol=1e-10, atol=0.0)
+
+#: the recovery settings every chaos run and soak job solves under
+CHAOS_RESILIENCE = ResilienceConfig(
+    checkpoint_interval=5,
+    sanity_interval=5,
+    max_restarts=8,
+    # real-seconds ack timeouts for the process backend; on the simulator
+    # the conservative stall-driven expiry makes the same values safe (a
+    # fault-free receive never expires spuriously)
+    reliable=ReliableConfig(base_timeout=0.05, max_retries=8),
+)
+
+#: recovery actions that change the reduction layout
+_LAYOUT_ACTIONS = ("shrink", "rebalance")
 
 #: outcome labels every chaos run must land on
 CONVERGED = "converged"
@@ -202,8 +224,10 @@ class ChaosOutcome:
 def chaos_plan(
     seed: int,
     nprocs: int,
-    allow_crash: bool = True,
-    allow_straggler: bool = False,
+    message_prob: float = 0.04,
+    corruption_prob: float = 0.5,
+    crash_prob: float = 0.5,
+    straggler_prob: float = 0.0,
 ) -> Dict[str, Any]:
     """Draw one seeded fault mix, expressed for both substrates.
 
@@ -212,27 +236,26 @@ def chaos_plan(
     corruption, and (for the simulated backend) the ``RankCrash``;
     ``crash_on_checkpoint`` is the process backend's native expression of
     the same crash -- SIGKILL the victim when it publishes the chosen
-    checkpoint.  Rank 0's blocks are never the corruption victim's
-    exclusive... any rank can be hit; the draw is uniform.
+    checkpoint.  Victim ranks are drawn uniformly, rank 0 included.
 
-    With ``allow_straggler`` the mix may also schedule one
+    The four message-fault probabilities are drawn from ``uniform(0,
+    message_prob)``; an ``x``/``r`` corruption, a crash and a straggler
+    each happen with their own probability.  A straggler is one
     :class:`~repro.machine.faults.RankSlowdown` carrying both substrate
-    expressions of the same fault: a compute-dilation ``factor`` large
-    enough to trip a virtual-clock deadline on the simulator (baseline
-    rank skew is about one message time, ~5e-5 s) and a real per-op
-    ``op_delay`` long enough to trip a heartbeat deadline on the process
-    backend.  The straggler draws come *after* every pre-existing draw,
-    so plans with ``allow_straggler=False`` are bit-identical to older
-    releases.
+    expressions: a compute-dilation ``factor`` that trips a virtual-clock
+    deadline on the simulator (baseline rank skew is about one message
+    time, ~5e-5 s) and a real per-op ``op_delay`` that trips a heartbeat
+    deadline on the process backend.  The draws run in that order and a
+    zero crash or straggler probability draws nothing, so turning a later
+    class off never moves an earlier class's schedule.
     """
     rng = np.random.default_rng(seed)
-    drop = float(rng.uniform(0.0, 0.04))
-    duplicate = float(rng.uniform(0.0, 0.04))
-    corrupt = float(rng.uniform(0.0, 0.04))
-    delay = float(rng.uniform(0.0, 0.04))
+    drop, duplicate, corrupt, delay = (
+        float(rng.uniform(0.0, message_prob)) for _ in range(4)
+    )
 
     corruptions = []
-    if rng.random() < 0.5:
+    if rng.random() < corruption_prob:
         corruptions.append(
             StateCorruption(
                 iteration=int(rng.integers(2, 9)),
@@ -244,7 +267,7 @@ def chaos_plan(
 
     crashes = []
     crash_on_checkpoint: Dict[int, int] = {}
-    crash_planned = allow_crash and rng.random() < 0.5
+    crash_planned = crash_prob > 0 and rng.random() < crash_prob
     if crash_planned:
         victim = int(rng.integers(nprocs))
         ckpt = int(rng.integers(1, 4))  # after the 1st..3rd checkpoint
@@ -253,7 +276,7 @@ def chaos_plan(
         crash_on_checkpoint[victim] = ckpt
 
     slowdowns = []
-    straggler_planned = allow_straggler and rng.random() < 0.6
+    straggler_planned = straggler_prob > 0 and rng.random() < straggler_prob
     if straggler_planned:
         victim = int(rng.integers(nprocs))
         # simulated expression: dilate charged compute by 1e7..1e8.  CG is
@@ -299,6 +322,47 @@ def chaos_plan(
     }
 
 
+def chaos_reference(
+    nprocs: int,
+    n: int = 48,
+    scenario: str = "poisson1d",
+    precond: str = "mg",
+    shape: Optional[Sequence[int]] = None,
+    reproducible: bool = False,
+) -> np.ndarray:
+    """The fault-free simulated solution a chaos outcome is judged against."""
+    if scenario == "stencil27":
+        return hpcg_solve(
+            shape or _STENCIL_SHAPE, backend="simulated", nprocs=nprocs,
+            precond=precond, criterion=CHAOS_CRITERION,
+            reproducible=reproducible,
+        ).x
+    A, b = _chaos_problem(n)
+    return backend_solve(
+        "cg", A, b, backend="simulated", nprocs=nprocs,
+        criterion=CHAOS_CRITERION, reproducible=reproducible,
+    ).x
+
+
+def judge(x, reference, attempt_log, reproducible: bool, rtol: float):
+    """The contract's verdict on one answer: ``(ok, max_abs_err)``.
+
+    A float sum's bits depend on its reduction order.  So ``x`` must equal
+    ``reference`` bitwise under exact reductions (``reproducible``) or when
+    no entry of the recovery driver's ``attempt_log`` shrank or rebalanced
+    the layout (a respawn replays the identical recurrence); after such a
+    layout change it must match to ``rtol`` times the reference's max-abs.
+    """
+    err = float(np.max(np.abs(x - reference)))
+    layout_changed = any(
+        entry.get("action") in _LAYOUT_ACTIONS for entry in attempt_log
+    )
+    if reproducible or not layout_changed:
+        return err == 0.0, err
+    scale = float(np.max(np.abs(reference))) or 1.0
+    return err <= rtol * scale, err
+
+
 def chaos_run(
     seed: int,
     backend: str = "simulated",
@@ -328,17 +392,14 @@ def chaos_run(
     seconds; the simulator uses a deadline matched to its virtual clock
     (20 message times).  ``policy`` picks the recovery response
     (:data:`~repro.backend.solve.RecoveryPolicy`); a solve that converges
-    on fewer ranks than it started with is classified ``"degraded"`` and
-    must still match the reference.
+    on fewer ranks than it started with is classified ``"degraded"``.
+    Either way the answer is held to :func:`judge`.
 
-    ``reproducible=True`` *sharpens the contract*: the solve and its
-    reference both run over superaccumulator reductions, whose results are
-    invariant to rank count and recovery history -- so a converged run
-    (and a degraded one: redistribution is an exact permutation and the
-    restarted trajectory replays the same exact dots) must match the
-    reference **bitwise**, ``max|err| == 0.0``, not merely to ``rtol``.
-    The fault draw itself is untouched, so seeds map to the same schedules
-    as in legacy (non-reproducible) runs.
+    ``reproducible=True`` runs the solve and its reference over
+    superaccumulator reductions, whose results are invariant to rank
+    count and recovery history, so :func:`judge` demands bitwise equality
+    even after a shrink.  The fault draw itself is untouched, so seeds map
+    to the same schedules as in non-reproducible runs.
 
     ``scenario`` picks the workload: ``"poisson1d"`` is the 1-D CG
     baseline above; ``"stencil27"`` runs the HPCG-class 27-point stencil
@@ -351,7 +412,6 @@ def chaos_run(
         raise ValueError(f"backend must be one of {CHAOS_BACKENDS}")
     if scenario not in CHAOS_SCENARIOS:
         raise ValueError(f"scenario must be one of {CHAOS_SCENARIOS}")
-    criterion = StoppingCriterion(rtol=1e-10, atol=0.0)
     if scenario == "stencil27":
         if precond not in HPCG_PRECONDS:
             raise ValueError(f"precond must be one of {HPCG_PRECONDS}")
@@ -362,33 +422,17 @@ def chaos_run(
             )
         shape = tuple(int(s) for s in (shape or _STENCIL_SHAPE))
         n = int(np.prod(shape))
-        if reference_x is None:
-            reference_x = hpcg_solve(
-                shape, backend="simulated", nprocs=nprocs, precond=precond,
-                criterion=criterion, reproducible=reproducible,
-            ).x
     else:
         A, b = _chaos_problem(n)
-        if reference_x is None:
-            reference_x = backend_solve(
-                "cg", A, b, backend="simulated", nprocs=nprocs,
-                criterion=criterion, reproducible=reproducible,
-            ).x
+    if reference_x is None:
+        reference_x = chaos_reference(nprocs, n, scenario, precond, shape,
+                                      reproducible)
 
-    drawn = chaos_plan(seed, nprocs, allow_crash=allow_crash,
-                       allow_straggler=stragglers)
+    drawn = chaos_plan(seed, nprocs, crash_prob=0.5 if allow_crash else 0.0,
+                       straggler_prob=0.6 if stragglers else 0.0)
     plan: FaultPlan = drawn["plan"]
-    cfg = ResilienceConfig(
-        checkpoint_interval=5,
-        sanity_interval=5,
-        max_restarts=8,
-        # real-seconds ack timeouts for the process backend; on the
-        # simulator the conservative stall-driven expiry makes the same
-        # values safe (a fault-free receive never expires spuriously)
-        reliable=ReliableConfig(base_timeout=0.05, max_retries=8),
-    )
     # simulated deadline in *virtual* seconds: it must sit above the ARQ
-    # retransmission timeout (base_timeout=0.05 below), or a single
+    # retransmission timeout (CHAOS_RESILIENCE's 0.05 s), or a single
     # injected message drop would stall a healthy rank past the deadline
     # and scapegoat it; 5x that still trips on a dilated rank within a
     # few iterations
@@ -423,13 +467,15 @@ def chaos_run(
         if scenario == "stencil27":
             result = hpcg_solve(
                 shape, backend=be, nprocs=nprocs, precond=precond,
-                criterion=criterion, faults=plan, resilience=cfg,
-                policy=policy, reproducible=reproducible, abft=True,
+                criterion=CHAOS_CRITERION, faults=plan,
+                resilience=CHAOS_RESILIENCE, policy=policy,
+                reproducible=reproducible, abft=True,
             )
         else:
             result = backend_solve(
-                "cg", A, b, backend=be, nprocs=nprocs, criterion=criterion,
-                faults=plan, resilience=cfg, policy=policy,
+                "cg", A, b, backend=be, nprocs=nprocs,
+                criterion=CHAOS_CRITERION, faults=plan,
+                resilience=CHAOS_RESILIENCE, policy=policy,
                 reproducible=reproducible,
             )
     except Exception as exc:  # noqa: BLE001 - classified or re-raised
@@ -441,19 +487,13 @@ def chaos_run(
         out.elapsed = time.perf_counter() - t0
         return out
     out.elapsed = time.perf_counter() - t0
-    err = float(np.max(np.abs(result.x - reference_x)))
-    out.max_abs_err = err
-    if reproducible:
-        # exact reductions: OK (and degraded-OK) means bitwise equality
-        out.converged_to_reference = bool(result.converged) and err == 0.0
-    else:
-        scale = float(np.max(np.abs(reference_x))) or 1.0
-        out.converged_to_reference = (
-            bool(result.converged) and err <= rtol * scale
-        )
-    out.iterations = int(result.iterations)
     resil = result.extras.get("resilience", {}) or {}
     recov = result.extras.get("recovery", {}) or {}
+    ok, out.max_abs_err = judge(result.x, reference_x,
+                                recov.get("attempt_log", []),
+                                reproducible, rtol)
+    out.converged_to_reference = bool(result.converged) and ok
+    out.iterations = int(result.iterations)
     out.rollbacks = int(resil.get("rollbacks", 0))
     out.retransmissions = float(
         (resil.get("telemetry") or {}).get("retransmissions", 0)
@@ -485,20 +525,8 @@ def chaos_sweep(
     shape: Optional[Sequence[int]] = None,
 ) -> List[ChaosOutcome]:
     """Run every seed on every backend; reference computed once per sweep."""
-    criterion = StoppingCriterion(rtol=1e-10, atol=0.0)
-    if scenario == "stencil27":
-        shape = tuple(int(s) for s in (shape or _STENCIL_SHAPE))
-        n = int(np.prod(shape))
-        reference = hpcg_solve(
-            shape, backend="simulated", nprocs=nprocs, precond=precond,
-            criterion=criterion, reproducible=reproducible,
-        ).x
-    else:
-        A, b = _chaos_problem(n)
-        reference = backend_solve(
-            "cg", A, b, backend="simulated", nprocs=nprocs,
-            criterion=criterion, reproducible=reproducible,
-        ).x
+    reference = chaos_reference(nprocs, n, scenario, precond, shape,
+                                reproducible)
     outcomes = []
     for backend in backends:
         for seed in seeds:

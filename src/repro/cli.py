@@ -893,7 +893,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
     out = _human_stream(args)
     header = (
-        f"{'job':>4} {'tenant':<10} {'fault':<10} {'status':<9} "
+        f"{'job':>4} {'tenant':<10} {'fault':<15} {'status':<9} "
         f"{'class':<18} {'att':>3} {'ranks':>5} {'bitwise':<7} "
         f"{'elapsed':>8}"
     )
@@ -901,7 +901,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print("-" * len(header), file=out)
     for v in report.verdicts:
         print(
-            f"{v.job_id:>4} {v.tenant:<10} {v.fault:<10} {v.status:<9} "
+            f"{v.job_id:>4} {v.tenant:<10} {v.fault:<15} {v.status:<9} "
             f"{v.classification or '-':<18} {v.attempts:>3} "
             f"{v.nprocs_final or '-':>5} "
             f"{'yes' if v.bitwise else 'no':<7} {v.elapsed:>7.2f}s",

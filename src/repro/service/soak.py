@@ -1,14 +1,13 @@
 """Chaos-driven service soak: a seeded multi-tenant job stream under fire.
 
-The acceptance contract for the service (mirrors the chaos harness's
-converge-or-classified-error contract, lifted to a *stream*):
+Each job's faults are drawn by :func:`~repro.backend.chaos.chaos_plan`
+and each converged answer is held to its reference by
+:func:`~repro.backend.chaos.judge` -- the chaos harness's contract, one
+copy.  What this module adds is about *streams*:
 
-* every job either converges **bitwise-equal** to its fault-free
-  simulated reference (full-rank outcomes -- crash respawns replay the
-  identical recurrence from the checkpoint), converges within tolerance
-  on fewer ranks (``degraded``, after a mid-stream shrink), or resolves
-  to a **classified** failure -- never an unclassified exception, never
-  a hang;
+* every job converges to the contract or resolves to a **classified**
+  failure -- never an unclassified exception, never a hang; a job parked
+  by a graceful drain is journaled for replay, not lost;
 * after a shrink the queue *keeps serving* on the survivors (jobs
   complete while the pool is below target) and the pool heals back
   between jobs;
@@ -18,9 +17,9 @@ Fault draws are seeded per job, so a soak is exactly reproducible from
 ``(seed, jobs, nprocs, n)`` -- the CI job pins these and archives the
 report.  Faults are crashes (checkpoint-triggered SIGKILL on the process
 pool, virtual-time kills on the simulator) and stragglers (per-op
-delays / compute dilation); message-level faults are excluded here
-because they live below the service layer and already have their own
-harness (``repro chaos``).
+delays / compute dilation); message-level faults and state corruptions
+are drawn with probability zero here because they live below the service
+layer and already have their own harness (``repro chaos``).
 """
 
 from __future__ import annotations
@@ -32,12 +31,15 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..backend.chaos import _chaos_problem
+from ..backend.chaos import (
+    CHAOS_CRITERION,
+    CHAOS_RESILIENCE,
+    _chaos_problem,
+    chaos_plan,
+    chaos_reference,
+    judge,
+)
 from ..backend.simulated import SimulatedBackend
-from ..backend.solve import backend_solve
-from ..core.resilience import ReliableConfig, ResilienceConfig
-from ..core.stopping import StoppingCriterion
-from ..machine.faults import FaultPlan, RankCrash, RankSlowdown
 from .breaker import CircuitBreaker
 from .journal import JobJournal
 from .pool import WarmPool
@@ -68,7 +70,7 @@ class SoakJobVerdict:
     seed: int
     status: str
     classification: str
-    fault: str                      #: "none" | "crash" | "straggler"
+    fault: str  #: "none" | "crash" | "straggler" | "crash+straggler"
     attempts: int
     nprocs_final: int
     bitwise: bool                   #: exact match to the reference
@@ -147,53 +149,6 @@ class SoakReport:
         )
 
 
-# ---------------------------------------------------------------------- #
-def _draw_job_faults(
-    rng: np.random.Generator,
-    nprocs: int,
-    crash_prob: float,
-    straggler_prob: float,
-    backend: str,
-) -> Dict[str, Any]:
-    """One job's seeded fault mix: maybe a crash, maybe a straggler."""
-    fault = "none"
-    crash_on_checkpoint: Dict[int, int] = {}
-    crashes: List[RankCrash] = []
-    slowdowns: List[RankSlowdown] = []
-    roll = rng.random()
-    if roll < crash_prob:
-        fault = "crash"
-        victim = int(rng.integers(nprocs))
-        ckpt = int(rng.integers(1, 4))
-        if backend == "process":
-            crash_on_checkpoint[victim] = ckpt
-        else:
-            crashes.append(RankCrash(victim, float(rng.uniform(1e-4, 5e-3))))
-    elif roll < crash_prob + straggler_prob:
-        fault = "straggler"
-        victim = int(rng.integers(nprocs))
-        slowdowns.append(
-            RankSlowdown(
-                rank=victim,
-                at_time=0.0,
-                factor=float(10.0 ** rng.uniform(7.0, 8.0)),
-                op_delay=float(rng.uniform(1.5, 3.0)),
-            )
-        )
-    plan = None
-    if crashes or slowdowns:
-        plan = FaultPlan(
-            seed=int(rng.integers(2 ** 31)),
-            crashes=crashes,
-            slowdowns=slowdowns,
-        )
-    return {
-        "fault": fault,
-        "plan": plan,
-        "crash_on_checkpoint": crash_on_checkpoint,
-    }
-
-
 def soak_run(
     jobs: int = 32,
     seed: int = 0,
@@ -228,22 +183,7 @@ def soak_run(
     if backend not in ("process", "simulated"):
         raise ValueError("backend must be 'process' or 'simulated'")
     A, b = _chaos_problem(n)
-    criterion = StoppingCriterion(rtol=1e-10, atol=0.0)
-    cfg = ResilienceConfig(
-        checkpoint_interval=5,
-        sanity_interval=5,
-        max_restarts=8,
-        reliable=ReliableConfig(base_timeout=0.05, max_retries=8),
-    )
-    # one fault-free reference at the requested rank count: full-rank
-    # outcomes must match it bitwise (checkpoint replay is exact and
-    # cross-backend parity holds), degraded outcomes to tolerance (a
-    # shrink changes the reduction layout, so only the chaos-harness
-    # rtol contract applies)
-    reference_x = backend_solve(
-        "cg", A, b, backend="simulated", nprocs=nprocs, criterion=criterion
-    ).x
-    ref_scale = float(np.max(np.abs(reference_x))) or 1.0
+    reference_x = chaos_reference(nprocs, n)
 
     own_service = service is None
     if own_service:
@@ -276,18 +216,22 @@ def soak_run(
     submitted = []
     for j in range(jobs):
         job_seed = int(rng.integers(2 ** 31))
-        draw = _draw_job_faults(
-            np.random.default_rng(job_seed), nprocs,
-            crash_prob, straggler_prob, backend,
+        drawn = chaos_plan(
+            job_seed, nprocs, message_prob=0.0, corruption_prob=0.0,
+            crash_prob=crash_prob, straggler_prob=straggler_prob,
         )
+        planned = drawn["planned"]
+        fault = "+".join(
+            kind for kind in ("crash", "straggler") if planned[kind]
+        ) or "none"
         spec = JobSpec(
             matrix=A, b=b,
             tenant=f"tenant-{j % tenants}",
             nprocs=nprocs,
-            criterion=criterion,
-            resilience=cfg,
-            faults=draw["plan"],
-            crash_on_checkpoint=draw["crash_on_checkpoint"],
+            criterion=CHAOS_CRITERION,
+            resilience=CHAOS_RESILIENCE,
+            faults=drawn["plan"],
+            crash_on_checkpoint=drawn["crash_on_checkpoint"],
             policy=policy,
             deadline=deadline if backend == "process" else None,
             # deadline units are substrate-specific: wall seconds on the
@@ -295,17 +239,15 @@ def soak_run(
             # as the chaos harness)
             straggler_deadline=(
                 (straggler_deadline if backend == "process" else 0.25)
-                if draw["fault"] == "straggler"
-                else None
+                if planned["straggler"] else None
             ),
             heartbeat_interval=(
                 min(0.1, straggler_deadline / 4.0)
-                if backend == "process" and draw["fault"] == "straggler"
-                else None
+                if backend == "process" and planned["straggler"] else None
             ),
         )
         handle = service.submit(spec)
-        submitted.append((handle, job_seed, draw["fault"]))
+        submitted.append((handle, job_seed, fault))
 
     report = SoakReport(
         seed=seed, backend=backend, jobs=jobs, nprocs=nprocs, n=n,
@@ -321,9 +263,9 @@ def soak_run(
         ):
             # completed while the pool was still running degraded
             report.served_while_shrunk += 1
-        verdict = _judge(res, fault, job_seed, reference_x,
-                         rtol, ref_scale)
-        report.verdicts.append(verdict)
+        report.verdicts.append(
+            _verdict(res, fault, job_seed, reference_x, rtol)
+        )
 
     service.drain(timeout=60.0)
     report.final_status = service.status()
@@ -336,26 +278,17 @@ def soak_run(
     return report
 
 
-def _judge(res, fault, job_seed, reference_x, rtol, ref_scale):
-    """Evaluate one job result against the soak contract."""
-    bitwise = False
-    max_err = float("nan")
-    ok = False
-    detail = ""
-    if res.status == JobStatus.OK:
-        max_err = float(np.max(np.abs(res.x - reference_x)))
-        bitwise = bool(np.array_equal(res.x, reference_x))
-        ok = bitwise
+def _verdict(res, fault, job_seed, reference_x, rtol):
+    """Hold one job's result to the chaos contract."""
+    ok, max_err, detail = False, float("nan"), ""
+    if res.status in (JobStatus.OK, JobStatus.DEGRADED):
+        # x is the last attempt's; its recovery log says whether a shrink
+        # or rebalance changed the layout on the way
+        log = res.attempts[-1].recovery_log if res.attempts else []
+        ok, max_err = judge(res.x, reference_x, log,
+                            reproducible=False, rtol=rtol)
         if not ok:
-            detail = f"full-rank result not bitwise (max|err|={max_err:.2e})"
-    elif res.status == JobStatus.DEGRADED:
-        max_err = float(np.max(np.abs(res.x - reference_x)))
-        ok = max_err <= rtol * ref_scale
-        if not ok:
-            detail = (
-                f"degraded result off-reference "
-                f"(max|err|={max_err:.2e} > {rtol:g}*{ref_scale:g})"
-            )
+            detail = f"result off-reference (max|err|={max_err:.2e})"
     elif res.status in (JobStatus.FAILED, JobStatus.EXPIRED,
                         JobStatus.QUARANTINED):
         ok = bool(res.classification)
@@ -363,22 +296,13 @@ def _judge(res, fault, job_seed, reference_x, rtol, ref_scale):
             detail = f"unclassified failure: {res.error}"
     elif res.status == JobStatus.PARKED:
         # graceful drain journaled it for replay: not a contract breach
-        ok = True
-        detail = "parked at graceful drain (journaled for replay)"
+        ok, detail = True, "parked at graceful drain (journaled for replay)"
     else:
         detail = f"unexpected terminal status {res.status!r}"
     return SoakJobVerdict(
-        job_id=res.job_id,
-        tenant=res.tenant,
-        seed=job_seed,
-        status=res.status,
-        classification=res.classification,
-        fault=fault,
-        attempts=len(res.attempts),
-        nprocs_final=res.nprocs_final,
-        bitwise=bitwise,
-        max_abs_err=max_err,
-        elapsed=res.elapsed,
-        contract_ok=ok,
-        detail=detail,
+        job_id=res.job_id, tenant=res.tenant, seed=job_seed,
+        status=res.status, classification=res.classification, fault=fault,
+        attempts=len(res.attempts), nprocs_final=res.nprocs_final,
+        bitwise=max_err == 0.0, max_abs_err=max_err, elapsed=res.elapsed,
+        contract_ok=ok, detail=detail,
     )

@@ -23,6 +23,7 @@ from repro.backend.chaos import (
     chaos_sweep,
     classify_failure,
     format_report,
+    judge,
 )
 from repro.backend.process import crash_injection_support
 from repro.core.resilience import RecoveryExhaustedError
@@ -70,9 +71,73 @@ class TestChaosPlan:
         assert a["plan"].seed == b["plan"].seed
 
     def test_no_crash_flag(self):
-        drawn = chaos_plan(4, nprocs=4, allow_crash=False)
+        drawn = chaos_plan(4, nprocs=4, crash_prob=0.0)
         assert drawn["crash_on_checkpoint"] == {}
         assert not drawn["plan"].crash_schedule()
+
+    # (drop, dup, corrupt, delay, corruptions, crash, straggler,
+    #  crash_on_checkpoint, straggler ranks) for seeds 0..7 at nprocs=4,
+    # captured from the draw before the probabilities became parameters
+    _DEFAULT = [
+        (0.0255, 0.0108, 0.0016, 0.0007, 0, False, False, {}, []),
+        (0.0205, 0.038, 0.0058, 0.0379, 1, False, False, {}, []),
+        (0.0105, 0.0119, 0.0326, 0.0037, 0, False, False, {}, []),
+        (0.0034, 0.0095, 0.0321, 0.0233, 1, False, False, {}, []),
+        (0.0377, 0.0205, 0.039, 0.0032, 0, True, False, {2: 3}, []),
+        (0.0322, 0.0323, 0.0206, 0.0114, 1, True, False, {0: 1}, []),
+        (0.0215, 0.0137, 0.0148, 0.015, 0, False, False, {}, []),
+        (0.025, 0.0359, 0.031, 0.009, 1, False, False, {}, []),
+    ]
+    _STRAGGLERS = [
+        (0.0255, 0.0108, 0.0016, 0.0007, 0, False, False, {}, []),
+        (0.0205, 0.038, 0.0058, 0.0379, 1, False, True, {}, [1]),
+        (0.0105, 0.0119, 0.0326, 0.0037, 0, False, True, {}, [3]),
+        (0.0034, 0.0095, 0.0321, 0.0233, 1, False, True, {}, [0]),
+        (0.0377, 0.0205, 0.039, 0.0032, 0, True, False, {2: 3}, []),
+        (0.0322, 0.0323, 0.0206, 0.0114, 1, True, True, {0: 1}, [3]),
+        (0.0215, 0.0137, 0.0148, 0.015, 0, False, False, {}, []),
+        (0.025, 0.0359, 0.031, 0.009, 1, False, True, {}, [3]),
+    ]
+    _NO_CRASH = [
+        (0.0255, 0.0108, 0.0016, 0.0007, 0, False, False, {}, []),
+        (0.0205, 0.038, 0.0058, 0.0379, 1, False, False, {}, []),
+        (0.0105, 0.0119, 0.0326, 0.0037, 0, False, False, {}, []),
+        (0.0034, 0.0095, 0.0321, 0.0233, 1, False, False, {}, []),
+        (0.0377, 0.0205, 0.039, 0.0032, 0, False, False, {}, []),
+        (0.0322, 0.0323, 0.0206, 0.0114, 1, False, False, {}, []),
+        (0.0215, 0.0137, 0.0148, 0.015, 0, False, False, {}, []),
+        (0.025, 0.0359, 0.031, 0.009, 1, False, False, {}, []),
+    ]
+
+    @pytest.mark.parametrize("kwargs,pinned", [
+        ({}, _DEFAULT),
+        ({"straggler_prob": 0.6}, _STRAGGLERS),
+        ({"crash_prob": 0.0}, _NO_CRASH),
+    ], ids=["defaults", "stragglers", "no-crash"])
+    def test_draw_stream_is_pinned(self, kwargs, pinned):
+        # E21, E22 and E26 schedules depend on this exact stream
+        for seed, row in enumerate(pinned):
+            drawn = chaos_plan(seed, 4, **kwargs)
+            p = drawn["planned"]
+            got = tuple(p[k] for k in (
+                "drop_prob", "duplicate_prob", "corrupt_prob", "delay_prob",
+                "state_corruptions", "crash", "straggler",
+            )) + (
+                drawn["crash_on_checkpoint"],
+                [s.rank for s in drawn["plan"].slowdown_schedule()],
+            )
+            assert got == row, f"seed {seed}"
+
+    def test_message_and_corruption_can_be_switched_off(self):
+        for seed in range(16):
+            drawn = chaos_plan(seed, 4, message_prob=0.0,
+                               corruption_prob=0.0)
+            p = drawn["planned"]
+            assert p["drop_prob"] == p["duplicate_prob"] == 0.0
+            assert p["corrupt_prob"] == p["delay_prob"] == 0.0
+            assert not drawn["plan"].message_faults_enabled
+            assert p["state_corruptions"] == 0
+            assert not drawn["plan"].state_corruption_schedule()
 
     def test_corruptions_target_auditable_state(self):
         # only x and r corruptions are detectable by the sanity audit;
@@ -80,6 +145,36 @@ class TestChaosPlan:
         for seed in range(30):
             for c in chaos_plan(seed, nprocs=4)["plan"].state_corruption_schedule():
                 assert c.target in ("x", "r")
+
+
+class TestJudge:
+    """Bitwise unless the layout changed; bitwise always when reproducible."""
+
+    REF = np.linspace(1.0, 2.0, 16)
+    ERRS = (0.0, 4e-15, 1e-3)
+    # verdicts for max|err| = 0, 4e-15, 1e-3 at rtol=1e-8
+    CASES = [
+        (False, "none", (True, False, False)),
+        (False, "respawn", (True, False, False)),
+        (False, "shrink", (True, True, False)),
+        (False, "rebalance", (True, True, False)),
+        (True, "none", (True, False, False)),
+        (True, "respawn", (True, False, False)),
+        (True, "shrink", (True, False, False)),
+        (True, "rebalance", (True, False, False)),
+    ]
+
+    @pytest.mark.parametrize("reproducible,action,verdicts", CASES)
+    def test_verdict_table(self, reproducible, action, verdicts):
+        log = [] if action == "none" else [
+            {"attempt": 1, "outcome": "straggler", "action": action}
+        ]
+        for err, expect in zip(self.ERRS, verdicts):
+            x = self.REF.copy()
+            x[5] += err
+            ok, max_err = judge(x, self.REF, log, reproducible, 1e-8)
+            assert ok is expect, f"max|err|={err:g}"
+            assert max_err == pytest.approx(err, rel=0.1, abs=0.0)
 
 
 class TestChaosRunSimulated:
