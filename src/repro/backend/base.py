@@ -24,22 +24,24 @@ This module defines the pieces both implementations share:
 * :class:`BackendRun` -- the uniform result record: per-rank return
   values, a :class:`~repro.machine.stats.MachineStats` in the exact shape
   the simulator produces, an elapsed time, and a time decomposition;
+* :class:`RunOptions` -- what one run carries (DESIGN.md §7);
 * :class:`ExecutionBackend` -- the interface both backends implement.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..machine.events import Op
-from ..machine.faults import RecvTimeoutError
+from ..machine.faults import FaultPlan, RecvTimeoutError
 from ..machine.stats import MachineStats
 
 __all__ = [
     "BackendRun",
     "ExecutionBackend",
+    "RunOptions",
     "BackendError",
     "BackendTimeoutError",
     "WorkerFailedError",
@@ -121,6 +123,33 @@ class BackendRun:
     recovery: Dict[str, Any] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """The per-run values of one solve, handed to every run of it.
+
+    ``None`` means "the backend's constructor value".  ``faults`` (a plan's
+    substrate share) and ``crash_on_checkpoint`` are the solve's own
+    consumed-once schedules: a run removes what fires, so a recovery
+    attempt does not fail again on the same fault.  ``topology`` lets a
+    shrunk simulated run fall back to a complete network.
+    """
+
+    timeout: Optional[float] = None
+    heartbeat_interval: Optional[float] = None
+    straggler_deadline: Optional[float] = None
+    faults: Optional[FaultPlan] = None
+    crash_on_checkpoint: Optional[Dict[int, int]] = None
+    topology: Any = None
+
+    def over(self, defaults: Any) -> "RunOptions":
+        """These options, unset fields read from ``defaults``'s attributes."""
+        return replace(self, **{
+            f.name: getattr(defaults, f.name)
+            for f in fields(self)
+            if getattr(self, f.name) is None and hasattr(defaults, f.name)
+        })
+
+
 class ExecutionBackend(abc.ABC):
     """Interface shared by the simulated and process backends."""
 
@@ -134,6 +163,7 @@ class ExecutionBackend(abc.ABC):
         nprocs: int,
         *,
         checkpoints: Optional[Dict[int, Dict[int, Any]]] = None,
+        options: Optional[RunOptions] = None,
     ) -> BackendRun:
         """Instantiate ``program(rank, nprocs)`` per rank, run all to completion.
 
@@ -141,7 +171,13 @@ class ExecutionBackend(abc.ABC):
         :class:`~repro.machine.events.Checkpoint` ops write into
         (``{iteration: {rank: payload}}``); it survives a failed run so the
         recovery driver can restart from the newest complete entry.
+        ``options`` carries this run's :class:`RunOptions`; the backend
+        itself is never written to.
         """
+
+    def run_options(self, options: Optional[RunOptions] = None) -> RunOptions:
+        """The values a run with ``options`` takes effect under."""
+        return (options or RunOptions()).over(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

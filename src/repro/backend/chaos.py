@@ -16,15 +16,17 @@ on the simulated machine, a checkpoint-triggered SIGKILL
 (``crash_on_checkpoint``) on the process backend, where virtual time does
 not exist.
 
-Each run goes through :func:`repro.backend.solve.backend_solve` with
-resilience on, i.e. the full stack under test: Comm-level injection,
+Each run is a :class:`~repro.backend.job.JobSpec` solved by
+:func:`repro.backend.job.solve` with resilience on, i.e. the full stack
+under test: Comm-level injection,
 reliable ARQ transport, in-program audits/rollbacks, substrate crash
 injection and the respawn-from-checkpoint recovery driver.  The answer is
 held to a fault-free reference by :func:`judge` and a failure is
 classified by :func:`classify_failure`; an *unclassified* exception
 propagates and fails the harness, because an unknown failure mode is
-exactly what chaos testing exists to surface.  The service soak draws and
-judges its jobs with the same :func:`chaos_plan` and :func:`judge`.
+exactly what chaos testing exists to surface.  The service soak draws,
+expresses (:func:`spec_faults`) and judges its jobs with the same
+:func:`chaos_plan` and :func:`judge`.
 
 ``repro chaos`` (the CLI) and benchmark E21 are thin wrappers over
 :func:`chaos_sweep` / :func:`format_report`.
@@ -44,17 +46,13 @@ from ..core.stopping import StoppingCriterion
 from ..machine.faults import FaultPlan, RankCrash, RankSlowdown, StateCorruption
 from ..machine.reliable import ReliableConfig
 from ..machine.scheduler import DeadlockError
-from ..hpcg.program import HPCG_PRECONDS
-from ..hpcg.solve import hpcg_solve
 from ..sparse.generators import poisson1d, rhs_for_solution
 from .abft import AbftChecksumError
 from .base import (
     BackendTimeoutError,
     WorkerCrashedError,
 )
-from .process import ProcessBackend
-from .simulated import SimulatedBackend
-from .solve import backend_solve
+from .job import JobSpec, solve
 
 __all__ = [
     "ChaosOutcome",
@@ -66,6 +64,7 @@ __all__ = [
     "is_retryable",
     "judge",
     "format_report",
+    "spec_faults",
     "CHAOS_BACKENDS",
     "CHAOS_CRITERION",
     "CHAOS_RESILIENCE",
@@ -94,6 +93,13 @@ CHAOS_RESILIENCE = ResilienceConfig(
     # fault-free receive never expires spuriously)
     reliable=ReliableConfig(base_timeout=0.05, max_retries=8),
 )
+
+#: straggler deadline on the simulator, in *virtual* seconds: it must sit
+#: above the ARQ retransmission timeout (CHAOS_RESILIENCE's 0.05 s), or a
+#: single injected message drop would stall a healthy rank past the
+#: deadline and scapegoat it; 5x that still trips on a dilated rank within
+#: a few iterations
+_SIM_STRAGGLER_DEADLINE = 0.25
 
 #: recovery actions that change the reduction layout
 _LAYOUT_ACTIONS = ("shrink", "rebalance")
@@ -322,6 +328,45 @@ def chaos_plan(
     }
 
 
+def spec_faults(
+    drawn: Dict[str, Any],
+    backend: str,
+    straggler_deadline: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The :class:`~repro.backend.job.JobSpec` fields of a draw on ``backend``.
+
+    A drawn crash reaches each substrate in its native form only: the
+    simulator kills the victim at a virtual time (the plan's ``RankCrash``);
+    real processes, which have no virtual time, SIGKILL it when it
+    publishes the drawn checkpoint.  ``straggler_deadline`` (wall seconds;
+    the simulator takes its virtual twin) arms straggler detection.
+    """
+    armed = straggler_deadline is not None
+    if backend == "simulated":
+        return {"faults": drawn["plan"], "straggler_deadline": (
+            _SIM_STRAGGLER_DEADLINE if armed else None)}
+    return {
+        "faults": drawn["plan"].without_crashes(),
+        "crash_on_checkpoint": dict(drawn["crash_on_checkpoint"]),
+        "straggler_deadline": straggler_deadline,
+        "heartbeat_interval": (
+            min(0.1, straggler_deadline / 4.0) if armed else None),
+    }
+
+
+def _chaos_spec(nprocs, n, scenario, precond, shape, reproducible,
+                **fields) -> JobSpec:
+    """Chaos workload ``scenario`` as a job, ``fields`` on top."""
+    problem: Dict[str, Any] = dict(
+        scenario="stencil27", shape=tuple(shape or _STENCIL_SHAPE))
+    if scenario == "poisson1d":
+        A, b = _chaos_problem(n)
+        problem = dict(matrix=A, b=b)
+    return JobSpec(nprocs=nprocs, criterion=CHAOS_CRITERION,
+                   precond=precond, reproducible=reproducible,
+                   **problem, **fields)
+
+
 def chaos_reference(
     nprocs: int,
     n: int = 48,
@@ -331,16 +376,9 @@ def chaos_reference(
     reproducible: bool = False,
 ) -> np.ndarray:
     """The fault-free simulated solution a chaos outcome is judged against."""
-    if scenario == "stencil27":
-        return hpcg_solve(
-            shape or _STENCIL_SHAPE, backend="simulated", nprocs=nprocs,
-            precond=precond, criterion=CHAOS_CRITERION,
-            reproducible=reproducible,
-        ).x
-    A, b = _chaos_problem(n)
-    return backend_solve(
-        "cg", A, b, backend="simulated", nprocs=nprocs,
-        criterion=CHAOS_CRITERION, reproducible=reproducible,
+    return solve(
+        _chaos_spec(nprocs, n, scenario, precond, shape, reproducible),
+        "simulated",
     ).x
 
 
@@ -412,48 +450,20 @@ def chaos_run(
         raise ValueError(f"backend must be one of {CHAOS_BACKENDS}")
     if scenario not in CHAOS_SCENARIOS:
         raise ValueError(f"scenario must be one of {CHAOS_SCENARIOS}")
-    if scenario == "stencil27":
-        if precond not in HPCG_PRECONDS:
-            raise ValueError(f"precond must be one of {HPCG_PRECONDS}")
-        if policy not in ("respawn", "shrink"):
-            raise ValueError(
-                "stencil27 chaos supports the 'respawn' and 'shrink' "
-                "policies only (rebalancing would break the subcube halo)"
-            )
-        shape = tuple(int(s) for s in (shape or _STENCIL_SHAPE))
-        n = int(np.prod(shape))
-    else:
-        A, b = _chaos_problem(n)
     if reference_x is None:
         reference_x = chaos_reference(nprocs, n, scenario, precond, shape,
                                       reproducible)
+    n = int(reference_x.size)
 
     drawn = chaos_plan(seed, nprocs, crash_prob=0.5 if allow_crash else 0.0,
                        straggler_prob=0.6 if stragglers else 0.0)
-    plan: FaultPlan = drawn["plan"]
-    # simulated deadline in *virtual* seconds: it must sit above the ARQ
-    # retransmission timeout (CHAOS_RESILIENCE's 0.05 s), or a single
-    # injected message drop would stall a healthy rank past the deadline
-    # and scapegoat it; 5x that still trips on a dilated rank within a
-    # few iterations
-    sim_deadline = 0.25 if stragglers else None
-    if backend == "simulated":
-        be = SimulatedBackend(
-            faults=plan.substrate_plan(),
-            straggler_deadline=sim_deadline,
-        )
-    else:
-        proc_kwargs: Dict[str, Any] = dict(
-            timeout=timeout,
-            crash_on_checkpoint=dict(drawn["crash_on_checkpoint"]),
-        )
-        if stragglers:
-            proc_kwargs["straggler_deadline"] = straggler_deadline
-            proc_kwargs["heartbeat_interval"] = min(
-                0.1, straggler_deadline / 4.0
-            )
-        be = ProcessBackend(**proc_kwargs)
-
+    spec = _chaos_spec(
+        nprocs, n, scenario, precond, shape, reproducible,
+        resilience=CHAOS_RESILIENCE, policy=policy, abft=True,
+        deadline=timeout,
+        **spec_faults(drawn, backend,
+                      straggler_deadline if stragglers else None),
+    )
     out = ChaosOutcome(
         seed=seed, backend=backend, nprocs=nprocs, n=n,
         outcome=CONVERGED, converged_to_reference=False,
@@ -464,20 +474,7 @@ def chaos_run(
     )
     t0 = time.perf_counter()
     try:
-        if scenario == "stencil27":
-            result = hpcg_solve(
-                shape, backend=be, nprocs=nprocs, precond=precond,
-                criterion=CHAOS_CRITERION, faults=plan,
-                resilience=CHAOS_RESILIENCE, policy=policy,
-                reproducible=reproducible, abft=True,
-            )
-        else:
-            result = backend_solve(
-                "cg", A, b, backend=be, nprocs=nprocs,
-                criterion=CHAOS_CRITERION, faults=plan,
-                resilience=CHAOS_RESILIENCE, policy=policy,
-                reproducible=reproducible,
-            )
+        result = solve(spec, backend)
     except Exception as exc:  # noqa: BLE001 - classified or re-raised
         label = classify_failure(exc)
         if label is None:
@@ -527,21 +524,15 @@ def chaos_sweep(
     """Run every seed on every backend; reference computed once per sweep."""
     reference = chaos_reference(nprocs, n, scenario, precond, shape,
                                 reproducible)
-    outcomes = []
-    for backend in backends:
-        for seed in seeds:
-            outcomes.append(
-                chaos_run(
-                    seed, backend=backend, nprocs=nprocs, n=n,
-                    timeout=timeout, allow_crash=allow_crash,
-                    reference_x=reference, policy=policy,
-                    stragglers=stragglers,
-                    straggler_deadline=straggler_deadline,
-                    reproducible=reproducible,
-                    scenario=scenario, precond=precond, shape=shape,
-                )
-            )
-    return outcomes
+    return [
+        chaos_run(seed, backend=backend, nprocs=nprocs, n=n, timeout=timeout,
+                  allow_crash=allow_crash, reference_x=reference,
+                  policy=policy, stragglers=stragglers,
+                  straggler_deadline=straggler_deadline,
+                  reproducible=reproducible, scenario=scenario,
+                  precond=precond, shape=shape)
+        for backend in backends for seed in seeds
+    ]
 
 
 def format_report(outcomes: Sequence[ChaosOutcome]) -> str:

@@ -65,6 +65,7 @@ from .base import (
     BackendTimeoutError,
     ExecutionBackend,
     ProgramFactory,
+    RunOptions,
     WorkerCrashedError,
     WorkerFailedError,
 )
@@ -127,6 +128,23 @@ def _env_float(
             + (" (or 'none' to disable)" if none_ok else "")
         )
     return value
+
+
+def _check_deadlines(timeout, heartbeat_interval, straggler_deadline) -> None:
+    """Reject a deadline set no run could honour, naming the values."""
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be positive (or None to disable)")
+    if heartbeat_interval is None or heartbeat_interval <= 0:
+        raise ValueError("heartbeat_interval must be positive")
+    if straggler_deadline is None:
+        return
+    if straggler_deadline <= 0:
+        raise ValueError(
+            "straggler_deadline must be positive (or None to disable)")
+    if straggler_deadline <= heartbeat_interval:
+        raise ValueError(
+            f"straggler_deadline ({straggler_deadline:g}s) must exceed "
+            f"the heartbeat interval ({heartbeat_interval:g}s)")
 
 
 def default_start_method() -> str:
@@ -444,7 +462,7 @@ class ProcessBackend(ExecutionBackend):
         :func:`default_start_method`.  Under ``spawn`` the program factory
         must be picklable (a module-level class instance, not a closure).
     timeout:
-        Hard wall-clock bound in seconds for the whole run.  Workers bound
+        Default hard wall-clock bound in seconds for a run.  Workers bound
         every blocking wait by it and the parent kills any process still
         alive once it expires (plus a small grace period).  ``None``
         disables the bound -- never do that in a test suite.  When not
@@ -452,12 +470,12 @@ class ProcessBackend(ExecutionBackend):
         seconds, or ``none``/``off``/``disabled``) is consulted before
         falling back to ``DEFAULT_RUN_DEADLINE``.
     heartbeat_interval:
-        Seconds between worker liveness heartbeats (positive).  When not
+        Default seconds between worker liveness heartbeats.  When not
         given, ``REPRO_HEARTBEAT_INTERVAL`` is consulted before falling
         back to ``DEFAULT_HEARTBEAT_INTERVAL``.  Smaller intervals tighten
         straggler detection latency at the cost of queue traffic.
     straggler_deadline:
-        Optional seconds of heartbeat staleness after which an unfinished
+        Default seconds of heartbeat staleness after which an unfinished
         rank is declared a straggler and the run aborted with
         :class:`~repro.machine.faults.StragglerDetectedError` (carrying
         ``rank`` and ``lag``).  Detection only fires while at least one
@@ -472,19 +490,22 @@ class ProcessBackend(ExecutionBackend):
     tag:
         Stats tag attached to the mirrored communication records.
     faults:
-        Optional :class:`~repro.machine.faults.FaultPlan` whose *crash
+        Default :class:`~repro.machine.faults.FaultPlan` whose *crash
         schedule* this backend executes for real: the parent SIGKILLs the
         scheduled rank once the run's wall clock passes ``at_time`` (real
         seconds here, simulated seconds on the simulator -- DESIGN.md §8).
         Message faults in the plan are ignored at this layer; inject them
         at the Comm boundary with :mod:`repro.backend.faulty`.  Crashes are
-        consumed-once, so a recovery driver re-running on the same backend
+        consumed-once, so a recovery driver re-running the same solve
         does not kill the respawned rank again.
     crash_on_checkpoint:
-        ``{rank: iteration}`` -- SIGKILL ``rank`` as soon as the parent
-        receives its checkpoint for ``iteration`` (or later).  A
+        Default ``{rank: iteration}`` -- SIGKILL ``rank`` as soon as the
+        parent receives its checkpoint for ``iteration`` (or later).  A
         deterministic mid-solve trigger for tests and benches, immune to
         wall-clock jitter.  Consumed-once, like the fault-plan crashes.
+
+    The last five are defaults, each overridden for one run by its
+    :class:`~repro.backend.base.RunOptions`.
     """
 
     name = "process"
@@ -505,26 +526,13 @@ class ProcessBackend(ExecutionBackend):
             timeout = _env_float(
                 "REPRO_RUN_DEADLINE", DEFAULT_RUN_DEADLINE, none_ok=True
             )
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None to disable)")
-        self.timeout = timeout
         if heartbeat_interval is _UNSET:
             heartbeat_interval = _env_float(
                 "REPRO_HEARTBEAT_INTERVAL", DEFAULT_HEARTBEAT_INTERVAL
             )
-        if heartbeat_interval is None or heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
+        _check_deadlines(timeout, heartbeat_interval, straggler_deadline)
+        self.timeout = timeout
         self.heartbeat_interval = heartbeat_interval
-        if straggler_deadline is not None:
-            if straggler_deadline <= 0:
-                raise ValueError(
-                    "straggler_deadline must be positive (or None to disable)"
-                )
-            if straggler_deadline <= heartbeat_interval:
-                raise ValueError(
-                    f"straggler_deadline ({straggler_deadline:g}s) must exceed "
-                    f"the heartbeat interval ({heartbeat_interval:g}s)"
-                )
         self.straggler_deadline = straggler_deadline
         self.trace = trace
         self.tag = tag
@@ -532,10 +540,17 @@ class ProcessBackend(ExecutionBackend):
         self.crash_on_checkpoint = dict(crash_on_checkpoint or {})
 
     # -------------------------------------------------------------- #
-    def _wants_kills(self) -> bool:
-        return bool(self.crash_on_checkpoint) or (
-            self.faults is not None and bool(self.faults.crash_schedule())
-        )
+    def run_options(self, options: Optional[RunOptions] = None) -> RunOptions:
+        """The values a run takes effect under, once they are honourable."""
+        opts = super().run_options(options)
+        _check_deadlines(opts.timeout, opts.heartbeat_interval,
+                         opts.straggler_deadline)
+        if opts.crash_on_checkpoint or (
+                opts.faults is not None and opts.faults.crash_schedule()):
+            ok_kill, why = crash_injection_support(self.start_method)
+            if not ok_kill:
+                raise BackendError(f"crash injection unavailable: {why}")
+        return opts
 
     @staticmethod
     def _kill_rank(workers, rank: int) -> bool:
@@ -546,14 +561,15 @@ class ProcessBackend(ExecutionBackend):
         os.kill(w.pid, signal.SIGKILL)
         return True
 
-    def _fire_due_time_kills(self, workers, reports, run_start: float) -> None:
+    def _fire_due_time_kills(self, faults, workers, reports,
+                             run_start: float) -> None:
         """Execute fault-plan crashes whose real-seconds deadline passed."""
-        if self.faults is None:
+        if faults is None:
             return
         elapsed = time.monotonic() - run_start
-        for crash in self.faults.crash_schedule():
+        for crash in faults.crash_schedule():
             if crash.at_time <= elapsed and crash.rank not in reports:
-                self.faults.fire_crash(crash.rank)  # consumed-once
+                faults.fire_crash(crash.rank)  # consumed-once
                 self._kill_rank(workers, crash.rank)
 
     @staticmethod
@@ -571,16 +587,14 @@ class ProcessBackend(ExecutionBackend):
         nprocs: int,
         *,
         checkpoints: Optional[Dict[int, Dict[int, Any]]] = None,
+        options: Optional[RunOptions] = None,
     ) -> BackendRun:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
         ok, detail = process_backend_support(self.start_method)
         if not ok:
             raise BackendError(f"process backend unavailable: {detail}")
-        if self._wants_kills():
-            ok_kill, why = crash_injection_support(self.start_method)
-            if not ok_kill:
-                raise BackendError(f"crash injection unavailable: {why}")
+        opts = self.run_options(options)
         ctx = mp.get_context(detail)
 
         fabric = Fabric(ctx, nprocs)
@@ -590,7 +604,7 @@ class ProcessBackend(ExecutionBackend):
             ctx.Process(
                 target=_worker_main,
                 args=(rank, nprocs, program, fabric, result_q, barrier,
-                      self.timeout, self.trace, self.heartbeat_interval),
+                      opts.timeout, self.trace, opts.heartbeat_interval),
                 name=f"repro-rank-{rank}",
                 daemon=True,
             )
@@ -605,7 +619,7 @@ class ProcessBackend(ExecutionBackend):
                 raise BackendError(
                     f"cannot pickle program {program!r} for start method "
                     f"{detail!r}: {type(exc).__name__}: {exc}") from exc
-            reports = self._collect(workers, result_q, checkpoints)
+            reports = self._collect(workers, result_q, checkpoints, opts)
             for w in workers:
                 w.join(timeout=_PARENT_GRACE)
         finally:
@@ -624,13 +638,15 @@ class ProcessBackend(ExecutionBackend):
     _WORKER, _WORKERS, _BACKEND = (
         "worker", "worker process(es)", "process backend")
 
-    def _collect(self, workers, result_q, checkpoints, job_id=0):
+    def _collect(self, workers, result_q, checkpoints,
+                 opts: Optional[RunOptions] = None, job_id=0):
         """Supervise one run until every rank reported; returns the reports.
 
         The one supervision loop of the one-shot backend and the warm
-        pool.  Every item carries its job's id in front; items of other
-        jobs of a reused pool are skipped.
+        pool, under the run's ``opts``.  Every item carries its job's id
+        in front; items of other jobs of a reused pool are skipped.
         """
+        opts = opts or self.run_options()
         nprocs = len(workers)
         reports: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
         last_heartbeat: Dict[int, float] = {}
@@ -639,15 +655,17 @@ class ProcessBackend(ExecutionBackend):
         run_start = time.monotonic()
         deadline = (
             None
-            if self.timeout is None
-            else run_start + self.timeout + _PARENT_GRACE
+            if opts.timeout is None
+            else run_start + opts.timeout + _PARENT_GRACE
         )
         while len(reports) < nprocs:
-            self._fire_due_time_kills(workers, reports, run_start)
+            self._fire_due_time_kills(opts.faults, workers, reports,
+                                      run_start)
             # every iteration, not just on an empty queue: busy peers
             # heartbeat constantly, so the queue is rarely empty while
             # a straggler silently stalls
-            self._check_straggler(nprocs, reports, done_ranks, last_heartbeat)
+            self._check_straggler(opts.straggler_deadline, nprocs, reports,
+                                  done_ranks, last_heartbeat)
             try:
                 item = result_q.get(timeout=0.1)
             except queue_mod.Empty:
@@ -677,7 +695,7 @@ class ProcessBackend(ExecutionBackend):
                 if deadline is not None and time.monotonic() > deadline:
                     raise BackendTimeoutError(
                         f"{self._BACKEND} timed out after "
-                        f"{self.timeout:g}s; ranks missing: "
+                        f"{opts.timeout:g}s; ranks missing: "
                         f"{sorted(set(range(nprocs)) - set(reports))}"
                     )
                 continue
@@ -696,9 +714,10 @@ class ProcessBackend(ExecutionBackend):
                 iteration, snapshot = payload
                 if checkpoints is not None:
                     checkpoints.setdefault(iteration, {})[rank] = snapshot
-                due = self.crash_on_checkpoint.get(rank)
+                triggers = opts.crash_on_checkpoint
+                due = triggers.get(rank) if triggers else None
                 if due is not None and iteration >= due:
-                    del self.crash_on_checkpoint[rank]  # consumed-once
+                    del triggers[rank]  # consumed-once
                     self._kill_rank(workers, rank)
             elif kind == "err":
                 # a peer's error may be collateral damage of an injected
@@ -730,8 +749,9 @@ class ProcessBackend(ExecutionBackend):
         t = last_heartbeat.get(rank)
         return float("inf") if t is None else time.monotonic() - t
 
+    @staticmethod
     def _check_straggler(
-        self, nprocs, reports, done_ranks, last_heartbeat
+        dl, nprocs, reports, done_ranks, last_heartbeat
     ) -> None:
         """Abort the run when a rank's heartbeats go deadline-stale.
 
@@ -740,9 +760,9 @@ class ProcessBackend(ExecutionBackend):
         reported.  Detection further requires at least one *other* rank to
         be demonstrably healthy -- fresh heartbeat, done, or reported --
         so a machine-wide pause (swap storm, suspended laptop) does not
-        scapegoat whichever rank happens to be oldest.
+        scapegoat whichever rank happens to be oldest.  ``dl=None``
+        disables detection.
         """
-        dl = self.straggler_deadline
         if dl is None:
             return
         now = time.monotonic()

@@ -18,7 +18,7 @@ from ..machine.machine import Machine
 from ..machine.scheduler import Scheduler
 from ..machine.topology import Topology
 from ..machine.trace import Tracer
-from .base import BackendRun, ExecutionBackend, ProgramFactory
+from .base import BackendRun, ExecutionBackend, ProgramFactory, RunOptions
 
 __all__ = ["SimulatedBackend"]
 
@@ -40,7 +40,7 @@ class SimulatedBackend(ExecutionBackend):
     tag:
         Stats tag forwarded to the scheduler's point-to-point records.
     faults:
-        An optional :class:`~repro.machine.faults.FaultPlan` handed to the
+        Default :class:`~repro.machine.faults.FaultPlan` handed to the
         scheduler: the ``substrate_plan()`` share only (crashes +
         slowdowns).  A plan carrying message faults is refused with a
         ``ValueError`` at :meth:`run` -- those are injected at the Comm
@@ -52,6 +52,9 @@ class SimulatedBackend(ExecutionBackend):
         rank's virtual clock runs this many seconds past the slowest live
         peer's -- the simulated twin of the process backend's heartbeat
         deadline.
+
+    ``topology``, ``faults`` and ``straggler_deadline`` are defaults, each
+    overridden for one run by its :class:`~repro.backend.base.RunOptions`.
     """
 
     name = "simulated"
@@ -80,7 +83,9 @@ class SimulatedBackend(ExecutionBackend):
         nprocs: int,
         *,
         checkpoints: Optional[Dict[int, Dict[int, Any]]] = None,
+        options: Optional[RunOptions] = None,
     ) -> BackendRun:
+        opts = self.run_options(options)
         if self.machine is not None:
             if self.machine.nprocs != nprocs:
                 raise ValueError(
@@ -89,7 +94,8 @@ class SimulatedBackend(ExecutionBackend):
                 )
             machine = self.machine
         else:
-            machine = Machine(nprocs=nprocs, topology=self.topology, cost=self.cost)
+            machine = Machine(nprocs=nprocs, topology=opts.topology,
+                              cost=self.cost)
 
         stats_before = machine.stats.snapshot()
         clock_before = machine.elapsed()
@@ -104,9 +110,9 @@ class SimulatedBackend(ExecutionBackend):
             results = Scheduler(
                 machine,
                 tag=self.tag,
-                faults=self.faults,
+                faults=opts.faults,
                 checkpoint_store=checkpoints,
-                straggler_deadline=self.straggler_deadline,
+                straggler_deadline=opts.straggler_deadline,
             ).run(program)
         finally:
             if tracer is not None:

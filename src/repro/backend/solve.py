@@ -32,7 +32,8 @@ applies the configured :data:`RecoveryPolicy`:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +63,8 @@ from ..machine.faults import (
     RankFailedError,
     StragglerDetectedError,
 )
-from .base import BackendRun, ExecutionBackend, ProgramFactory, WorkerCrashedError
+from .base import (BackendRun, ExecutionBackend, ProgramFactory, RunOptions,
+                   WorkerCrashedError)
 from .faulty import FaultInjectingProgram, SlowdownProgram
 from .process import ProcessBackend
 from .programs import CGRankProgram, PCGRankProgram, ResilientCGProgram
@@ -182,11 +184,11 @@ def _effective_layout(program, nprocs: int) -> Distribution:
     return Block(program.n, nprocs)
 
 
-def _fault_plans(backend, program) -> List[FaultPlan]:
+def _fault_plans(options: RunOptions, program) -> List[FaultPlan]:
     """Every distinct FaultPlan the run consults, deduplicated by identity.
 
-    One user plan typically appears several times -- the substrate share on
-    the backend, the message share on a
+    One user plan typically appears several times -- the substrate share in
+    the run's options, the message share on a
     :class:`~repro.backend.faulty.FaultInjectingProgram`, the corruption
     share on the inner solver program -- sometimes as the *same* object.
     """
@@ -198,7 +200,7 @@ def _fault_plans(backend, program) -> List[FaultPlan]:
             seen.add(id(plan))
             plans.append(plan)
 
-    _add(getattr(backend, "faults", None))
+    _add(options.faults)
     obj = program
     while obj is not None:
         _add(getattr(obj, "plan", None))
@@ -218,49 +220,53 @@ def _slowdown_wrappers(program) -> List[SlowdownProgram]:
     return found
 
 
-def _consume_slowdowns(backend, program, rank: int) -> None:
+def _consume_slowdowns(options: RunOptions, program, rank: int) -> None:
     """Retire ``rank``'s pending slowdown everywhere it is scheduled."""
-    for plan in _fault_plans(backend, program):
+    for plan in _fault_plans(options, program):
         plan.drop_slowdown(rank)
     for wrapper in _slowdown_wrappers(program):
         wrapper.drop_slowdown(rank)
 
 
-def _remap_faults(backend, program, survivors: Sequence[int]) -> None:
+def _remap_faults(
+    options: RunOptions, program, survivors: Sequence[int]
+) -> RunOptions:
     """Renumber every pending fault after a shrink onto ``survivors``."""
-    for plan in _fault_plans(backend, program):
+    for plan in _fault_plans(options, program):
         plan.remap_ranks(survivors)
     for wrapper in _slowdown_wrappers(program):
         wrapper.remap_ranks(survivors)
-    coc = getattr(backend, "crash_on_checkpoint", None)
-    if coc:
-        new_of = {old: new for new, old in enumerate(survivors)}
-        backend.crash_on_checkpoint = {
-            new_of[r]: it for r, it in coc.items() if r in new_of
-        }
+    coc = options.crash_on_checkpoint
+    if not coc:
+        return options
+    new_of = {old: new for new, old in enumerate(survivors)}
+    return replace(options, crash_on_checkpoint={
+        new_of[r]: it for r, it in coc.items() if r in new_of
+    })
 
 
-def _degrade_topology(backend, new_nprocs: int) -> Optional[str]:
+def _degrade_topology(
+    backend, options: RunOptions, new_nprocs: int
+) -> Tuple[RunOptions, Optional[str]]:
     """Fall back to a complete network when the topology can't shrink.
 
-    A hypercube minus a node is not a hypercube: when the simulated
-    backend's per-run topology spec cannot be instantiated at the survivor
-    count (power-of-two constraints, fixed mesh shapes), the degraded
-    machine is modelled as a complete network instead -- survivors are
-    assumed to route around the hole at unit hop cost.  Returns the old
-    spec's repr when a fallback happened, for the recovery telemetry.
+    A hypercube minus a node is not a hypercube: when the simulated run's
+    topology spec cannot be instantiated at the survivor count
+    (power-of-two constraints, fixed mesh shapes), the degraded machine is
+    modelled as a complete network instead -- survivors are assumed to
+    route around the hole at unit hop cost.  Also returns the old spec's
+    repr when a fallback happened, for the recovery telemetry.
     """
-    spec = getattr(backend, "topology", None)
+    spec = options.topology
     if spec is None or getattr(backend, "machine", None) is not None:
-        return None
+        return options, None
     from ..machine.topology import make_topology
 
     try:
         make_topology(spec, new_nprocs)
     except (ValueError, TypeError):
-        backend.topology = "complete"
-        return str(spec)
-    return None
+        return replace(options, topology="complete"), str(spec)
+    return options, None
 
 
 def _redistribute_state(
@@ -307,6 +313,7 @@ def run_with_recovery(
     policy: str = "respawn",
     min_ranks: int = 1,
     straggler_capacity: Optional[float] = None,
+    options: Optional[RunOptions] = None,
 ) -> BackendRun:
     """Run a checkpointing program, surviving crashes and stragglers.
 
@@ -330,6 +337,11 @@ def run_with_recovery(
     the same rank is flagged again.  A shrink below ``min_ranks`` raises
     :class:`~repro.core.resilience.RecoveryExhaustedError` instead.
 
+    Every attempt runs under ``options``
+    (:class:`~repro.backend.base.RunOptions`, unset fields the backend's);
+    the driver consumes and remaps their fault schedules, never
+    ``backend``.
+
     The returned run's ``recovery`` dict reports ``attempts``,
     ``crashes_recovered`` / ``stragglers_detected`` (ranks, in order),
     ``restart_iterations`` (the checkpoint each restart resumed from),
@@ -346,6 +358,7 @@ def run_with_recovery(
         )
     if min_ranks < 1:
         raise ValueError("min_ranks must be >= 1")
+    options = (options or RunOptions()).over(backend)
     store = {} if store is None else store
     recovery: Dict[str, Any] = {
         "attempts": 0,
@@ -367,7 +380,8 @@ def run_with_recovery(
         recovery["attempts"] += 1
         attempt_start = time.perf_counter()
         try:
-            run = backend.run(program, cur, checkpoints=store)
+            run = backend.run(program, cur, checkpoints=store,
+                              options=options)
         except (WorkerCrashedError, RankFailedError,
                 StragglerDetectedError) as exc:
             is_straggler = isinstance(exc, StragglerDetectedError)
@@ -407,7 +421,7 @@ def run_with_recovery(
             if action == "respawn":
                 if is_straggler and rank is not None:
                     # the respawned rank must run at nominal speed
-                    _consume_slowdowns(backend, program, rank)
+                    _consume_slowdowns(options, program, rank)
                 latest = latest_complete_checkpoint(store, cur)
                 if latest is None:
                     # failure before the iteration-0 checkpoint: cold restart
@@ -447,8 +461,9 @@ def run_with_recovery(
                     backend, program, store, old_layout, new_layout,
                     survivors, cur, recovery,
                 )
-                _remap_faults(backend, program, survivors)
-                degraded_topo = _degrade_topology(backend, cur - 1)
+                options = _remap_faults(options, program, survivors)
+                options, degraded_topo = _degrade_topology(
+                    backend, options, cur - 1)
                 new_loads = [
                     float(row_weights[new_layout.local_indices(r)].sum())
                     for r in range(cur - 1)
@@ -469,7 +484,7 @@ def run_with_recovery(
             # action == "rebalance": keep all ranks, shift work off the
             # straggler in proportion to its remaining speed
             slow = next(
-                (p.slowdown_for(rank) for p in _fault_plans(backend, program)
+                (p.slowdown_for(rank) for p in _fault_plans(options, program)
                  if p.slowdown_for(rank) is not None),
                 None,
             )
@@ -505,28 +520,37 @@ def run_with_recovery(
         return run
 
 
+def _wants_recovery(faults, resilience, policy, store, options) -> bool:
+    """Whether a solve runs its checkpointing program under recovery."""
+    return not (
+        faults is None and resilience is None and policy == "respawn"
+        and store is None and options.straggler_deadline is None
+        and options.heartbeat_interval is None
+    )
+
+
 def _resilient_solve(
     build_program,
     assemble,
-    backend: Union[str, ExecutionBackend],
-    backend_kwargs: Dict[str, Any],
+    backend: ExecutionBackend,
     nprocs: int,
+    options: RunOptions,
     faults: Optional[FaultPlan],
     resilience: Optional[ResilienceConfig],
     store: Optional[Dict[int, Dict[int, Any]]],
     policy: str,
     min_ranks: int,
 ) -> SolveResult:
-    """The one fault-tolerant launch behind ``backend_solve``/``hpcg_solve``.
+    """The one fault-tolerant launch behind every fault-tolerant solve.
 
     ``build_program(**guard_options)`` builds the guarded rank program
     from the resilience options derived here; ``assemble(run, program)``
     turns the surviving run into a ``SolveResult``.  In between the plan
-    is split by layer as :func:`backend_solve` documents: a string
-    ``backend`` is built with only the substrate's share (crashes and
-    slowdowns); message faults enter at the Comm boundary alone, and the
-    simulated scheduler refuses a plan that carries them.  A crash,
-    slowdown or corruption aimed at a rank the solve does not have raises
+    is split by layer as :func:`backend_solve` documents: the run's
+    ``options`` carry only the substrate's share (crashes and slowdowns);
+    message faults enter at the Comm boundary alone, and the simulated
+    scheduler refuses a plan that carries them.  A crash, slowdown or
+    corruption aimed at a rank the solve does not have raises
     ``ValueError``: it would otherwise never fire.
     """
     cfg = resilience or ResilienceConfig()
@@ -551,27 +575,20 @@ def _resilient_solve(
     runnable = (
         FaultInjectingProgram(program, plan) if message_faults else program
     )
-    if isinstance(backend, str):
-        substrate_share = plan.substrate_plan() if plan is not None else None
-        be = make_backend(backend,
-                          **{**backend_kwargs, "faults": substrate_share})
-    else:
-        be = backend
-    if (
-        isinstance(be, ProcessBackend)
-        and plan is not None
-        and plan.slowdown_schedule()
-    ):
-        runnable = SlowdownProgram(runnable, plan.slowdown_schedule())
+    if plan is not None:
+        options = replace(options, faults=plan.substrate_plan())
+        if isinstance(backend, ProcessBackend) and plan.slowdown_schedule():
+            runnable = SlowdownProgram(runnable, plan.slowdown_schedule())
     store = {} if store is None else store
     latest = latest_complete_checkpoint(store, nprocs)
     if latest is not None:
         # a durable store outlives the driver: resume from the newest
         # complete checkpoint the previous (killed) process published
         program.restart = latest
-    run = run_with_recovery(be, runnable, nprocs,
+    run = run_with_recovery(backend, runnable, nprocs,
                             max_restarts=cfg.max_restarts,
-                            store=store, policy=policy, min_ranks=min_ranks)
+                            store=store, policy=policy, min_ranks=min_ranks,
+                            options=options)
     result = assemble(run, program)
     result.extras["recovery"] = dict(run.recovery)
     extras = [res[4] or {} for res in run.results]
@@ -653,7 +670,10 @@ def backend_solve(
     (see :func:`run_with_recovery`); ``straggler_deadline`` arms straggler
     detection on either substrate (virtual-clock lag on the simulator,
     heartbeat staleness on real processes) and ``heartbeat_interval``
-    tunes the process backend's liveness cadence.
+    tunes the process backend's liveness cadence.  They and the plan's
+    substrate share reach every run of the solve as one
+    :class:`~repro.backend.base.RunOptions`, so a backend name and a
+    backend instance run the same solve.
 
     ``store`` supplies the checkpoint store (default: a fresh in-memory
     dict).  Passing a
@@ -662,22 +682,28 @@ def backend_solve(
     complete checkpoint from a previous (killed) run, the solve restarts
     from it instead of from scratch.
     """
+    return _backend_solve(
+        solver, matrix, b, backend, nprocs,
+        RunOptions(straggler_deadline=straggler_deadline,
+                   heartbeat_interval=heartbeat_interval),
+        faults=faults, resilience=resilience, policy=policy,
+        min_ranks=min_ranks, store=store, x0=x0, criterion=criterion,
+        fused=fused, reproducible=reproducible,
+    )
+
+
+def _backend_solve(solver, matrix, b, backend, nprocs, options, *, faults,
+                   resilience, policy, min_ranks, store, **program_args):
+    """:func:`backend_solve` with its per-run values in ``options``."""
     if policy not in RecoveryPolicy:
         raise ValueError(
             f"unknown recovery policy {policy!r}; expected one of "
             f"{RecoveryPolicy}"
         )
-    plain = (
-        faults is None and resilience is None and policy == "respawn"
-        and straggler_deadline is None and heartbeat_interval is None
-        and store is None
-    )
-    if plain:
-        program = make_solver_program(solver, matrix, b, x0=x0,
-                                      criterion=criterion, fused=fused,
-                                      reproducible=reproducible)
-        be = make_backend(backend)
-        run = be.run(program, nprocs)
+    be = make_backend(backend)
+    if not _wants_recovery(faults, resilience, policy, store, options):
+        program = make_solver_program(solver, matrix, b, **program_args)
+        run = be.run(program, nprocs, options=options)
         return assemble_backend_result(run, solver=solver, n=program.n)
 
     if SOLVER_PROGRAMS.get(solver) is not CGRankProgram:
@@ -685,17 +711,10 @@ def backend_solve(
             f"fault-tolerant backend solves support the 'cg' family only, "
             f"not {solver!r}"
         )
-    backend_kwargs: Dict[str, Any] = {}
-    if straggler_deadline is not None:
-        backend_kwargs["straggler_deadline"] = straggler_deadline
-    if backend == "process" and heartbeat_interval is not None:
-        backend_kwargs["heartbeat_interval"] = heartbeat_interval
     return _resilient_solve(
-        lambda **guard: ResilientCGProgram(
-            matrix, b, x0=x0, criterion=criterion, fused=fused,
-            reproducible=reproducible, **guard),
+        lambda **guard: ResilientCGProgram(matrix, b, **program_args,
+                                           **guard),
         lambda run, program: assemble_backend_result(
             run, solver=solver, n=program.n),
-        backend, backend_kwargs, nprocs, faults, resilience, store, policy,
-        min_ranks,
+        be, nprocs, options, faults, resilience, store, policy, min_ranks,
     )

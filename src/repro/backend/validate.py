@@ -129,27 +129,27 @@ def cross_validate(
     proc = backend_solve(solver, matrix, b, backend=proc_backend, nprocs=nprocs,
                          x0=x0, criterion=criterion, fused=fused,
                          reproducible=reproducible)
+    return _compare(solver, nprocs, sim, proc, strict)
 
-    x_equal = sim.x.shape == proc.x.shape and bool(np.all(sim.x == proc.x))
-    max_abs_diff = (
-        float(np.max(np.abs(sim.x - proc.x))) if sim.x.shape == proc.x.shape
-        else float("inf")
-    )
+
+def _compare(solver, nprocs, sim, proc, strict, scalars_equal=True):
+    """The bit-for-bit report on two runs of one solve."""
+    same_shape = sim.x.shape == proc.x.shape
     iters_equal = sim.iterations == proc.iterations
-    res_equal = (
-        sim.history.residual_norms == proc.history.residual_norms
-    )
+    res_equal = sim.history.residual_norms == proc.history.residual_norms
     report = CrossValidation(
         solver=solver,
         n=int(sim.x.size),
         nprocs=nprocs,
         simulated=sim,
         process=proc,
-        bitwise_equal=x_equal and iters_equal and res_equal
+        bitwise_equal=same_shape and bool(np.all(sim.x == proc.x))
+        and iters_equal and res_equal and scalars_equal
         and sim.converged == proc.converged,
         iterations_equal=iters_equal,
         residuals_equal=res_equal,
-        max_abs_diff=max_abs_diff,
+        max_abs_diff=(float(np.max(np.abs(sim.x - proc.x))) if same_shape
+                      else float("inf")),
         modelled=dict(sim.extras["timings"]),
         measured=dict(proc.extras["timings"]),
     )
@@ -185,33 +185,12 @@ def hpcg_cross_validate(
                   reproducible=reproducible, criterion=criterion, **kwargs)
     sim = hpcg_solve(shape, backend=sim_backend, **common)
     proc = hpcg_solve(shape, backend=proc_backend, **common)
-
-    x_equal = sim.x.shape == proc.x.shape and bool(np.all(sim.x == proc.x))
-    max_abs_diff = (
-        float(np.max(np.abs(sim.x - proc.x))) if sim.x.shape == proc.x.shape
-        else float("inf")
-    )
-    iters_equal = sim.iterations == proc.iterations
-    res_equal = sim.history.residual_norms == proc.history.residual_norms
     scalars_equal = all(
         sim.extras["hpcg"][key] == proc.extras["hpcg"][key]
         for key in ("alphas", "betas", "gammas")
     )
-    report = CrossValidation(
-        solver=f"hpcg[{precond}]",
-        n=int(sim.x.size),
-        nprocs=nprocs,
-        simulated=sim,
-        process=proc,
-        bitwise_equal=x_equal and iters_equal and res_equal
-        and scalars_equal and sim.converged == proc.converged,
-        iterations_equal=iters_equal,
-        residuals_equal=res_equal,
-        max_abs_diff=max_abs_diff,
-        modelled=dict(sim.extras["timings"]),
-        measured=dict(proc.extras["timings"]),
-    )
-    return report.check() if strict else report
+    return _compare(f"hpcg[{precond}]", nprocs, sim, proc, strict,
+                    scalars_equal)
 
 
 @dataclass

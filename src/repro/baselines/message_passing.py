@@ -33,7 +33,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..backend.base import RunOptions
 from ..backend.programs import CGRankProgram, ResilientCGProgram
+from ..backend.simulated import SimulatedBackend
 from ..backend.solve import _resilient_solve
 from ..machine.faults import FaultPlan
 from ..machine.machine import Machine
@@ -111,9 +113,9 @@ def _resilient_row_block(
 
     return _resilient_solve(
         build, lambda run, program: assemble(run.results),
-        "simulated", {"machine": machine, "tag": "spmd_cg"},
-        machine.nprocs, faults, resilience, store=None,
-        policy="respawn", min_ranks=1,
+        SimulatedBackend(machine=machine, tag="spmd_cg"), machine.nprocs,
+        RunOptions(), faults, resilience, store=None, policy="respawn",
+        min_ranks=1,
     )
 
 

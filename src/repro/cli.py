@@ -163,12 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--policy", choices=("respawn", "shrink", "rebalance"),
         default="respawn",
-        help="degraded-mode recovery policy (--backend process, cg only)",
+        help="degraded-mode recovery policy (--backend process; "
+             "respawn|shrink for --scenario stencil27)",
     )
     solve.add_argument(
         "--straggler-deadline", type=float, default=None,
         help="arm straggler detection: flag a rank whose heartbeat stays "
-             "stale this many seconds (--backend process, cg only)",
+             "stale this many seconds (--backend process)",
     )
     solve.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--reproducible", action="store_true",
-        help="bitwise-reproducible reductions (stencil27)",
+        help="bitwise-reproducible reductions",
     )
     submit.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -397,75 +398,6 @@ def _cmd_strategies() -> int:
     return 0
 
 
-def _cmd_solve_process(args: argparse.Namespace) -> int:
-    from . import StoppingCriterion, backend_solve, process_backend_support
-    from .backend import ProcessBackend, default_start_method
-    from .backend.solve import SOLVER_PROGRAMS
-
-    if args.solver not in SOLVER_PROGRAMS:
-        print(f"error: --backend process supports solvers "
-              f"{sorted(set(SOLVER_PROGRAMS))}, not {args.solver!r}",
-              file=sys.stderr)
-        return 2
-    degraded = args.policy != "respawn" or args.straggler_deadline is not None
-    if degraded and args.solver != "cg":
-        print("error: --policy/--straggler-deadline run the fault-tolerant "
-              "program and support --solver cg only", file=sys.stderr)
-        return 2
-    ok, detail = process_backend_support()
-    if not ok:
-        print(f"error: process backend unavailable on this platform: {detail}",
-              file=sys.stderr)
-        return 2
-
-    A = _make_matrix(args.matrix, args.n)
-    rng = np.random.default_rng(0)
-    b = rng.standard_normal(A.nrows)
-    crit = StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter)
-    # only pass what the user set: absent kwargs fall back to the
-    # $REPRO_RUN_DEADLINE / $REPRO_HEARTBEAT_INTERVAL environment knobs
-    be_kwargs = {}
-    if args.timeout is not None:
-        be_kwargs["timeout"] = args.timeout
-    if args.heartbeat_interval is not None:
-        be_kwargs["heartbeat_interval"] = args.heartbeat_interval
-    if args.straggler_deadline is not None:
-        be_kwargs["straggler_deadline"] = args.straggler_deadline
-    backend = ProcessBackend(**be_kwargs)
-    result = backend_solve(args.solver, A, b, backend=backend,
-                           nprocs=args.nprocs, criterion=crit,
-                           policy=args.policy,
-                           straggler_deadline=args.straggler_deadline,
-                           fused=args.fused,
-                           reproducible=args.reproducible)
-
-    timings = result.extras["timings"]
-    print(f"matrix    : {args.matrix} n={A.nrows} nnz={A.nnz}")
-    print(f"machine   : {args.nprocs} OS processes "
-          f"({backend.start_method or default_start_method()} start)")
-    marks = "".join(
-        m for m, on in ((" [fused]", args.fused),
-                        (" [reproducible]", args.reproducible)) if on
-    )
-    print(f"solver    : {result.solver} / {result.strategy}{marks}")
-    print(f"converged : {result.converged} in {result.iterations} iterations")
-    print(f"residual  : {result.final_residual:.3e}")
-    print(f"wall time : {result.machine_elapsed * 1e3:.3f} ms (measured)")
-    print(f"  compute : {timings['compute'] * 1e3:.3f} ms")
-    print(f"  comm    : {timings['comm'] * 1e3:.3f} ms")
-    print(f"  send    : {timings.get('send', 0.0) * 1e3:.3f} ms")
-    print(f"comm      : {result.comm['messages']} messages, "
-          f"{result.comm['words']:.0f} words")
-    recovery = result.extras.get("recovery")
-    if recovery:
-        print(f"recovery  : policy={recovery['policy']} "
-              f"attempts={recovery['attempts']} "
-              f"final ranks={recovery['final_nprocs']}")
-        for shrink in recovery.get("shrinks", []):
-            print(f"  {shrink['summary']}")
-    return 0 if result.converged else 1
-
-
 def _parse_shape(spec: str):
     """Parse ``--shape``: '16' -> (16,16,16); '16x16x8' -> (16,16,8)."""
     parts = [int(p) for p in spec.lower().split("x") if p]
@@ -476,74 +408,143 @@ def _parse_shape(spec: str):
     raise ValueError(f"--shape wants NX or NXxNYxNZ, got {spec!r}")
 
 
-def _cmd_solve_hpcg(args: argparse.Namespace) -> int:
+def _job_spec(args: argparse.Namespace, **fields):
+    """The job ``repro solve`` / ``submit`` runs, and its problem line.
+
+    Raises ``ValueError`` (a usage error) for flags the job cannot take.
+    """
+    from .backend.job import JobSpec
+
+    if args.scenario == "stencil27":
+        if args.policy == "rebalance":
+            raise ValueError("stencil27 jobs support --policy respawn|shrink")
+        shape = _parse_shape(args.shape)
+        problem = (f"stencil27 {'x'.join(str(s) for s in shape)} "
+                   f"precond={args.precond}")
+        return JobSpec(scenario="stencil27", shape=shape,
+                       precond=args.precond, **fields), problem
+    A = _make_matrix(args.matrix, args.n)
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(A.nrows)
+    problem = f"{args.matrix} n={A.nrows} nnz={A.nnz}"
+    return JobSpec(matrix=A, b=b, solver=args.solver, **fields), problem
+
+
+def _cmd_solve_backend(args: argparse.Namespace) -> int:
+    """``repro solve`` on an execution backend: one job, one entry."""
     from . import StoppingCriterion
-    from .backend import SimulatedBackend, process_backend_support
-    from .hpcg import hpcg_solve
+    from .backend import (ProcessBackend, SimulatedBackend,
+                          default_start_method, process_backend_support)
+    from .backend.job import solve
+    from .backend.solve import SOLVER_PROGRAMS
 
     try:
-        shape = _parse_shape(args.shape)
+        spec, problem = _job_spec(
+            args, nprocs=args.nprocs,
+            criterion=StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter),
+            fused=args.fused, reproducible=args.reproducible,
+            policy=args.policy, deadline=args.timeout,
+            heartbeat_interval=args.heartbeat_interval,
+            straggler_deadline=args.straggler_deadline,
+            checkpoint_dir=args.checkpoint_dir,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    flags = "--backend process" if args.backend == "process" else "/".join(
+        f for f, on in (("--fused", args.fused),
+                        ("--reproducible", args.reproducible)) if on
+    )
+    if spec.solver not in SOLVER_PROGRAMS:
+        print(f"error: {flags} supports solvers "
+              f"{sorted(set(SOLVER_PROGRAMS))}, not {spec.solver!r}",
+              file=sys.stderr)
+        return 2
+    degraded = args.policy != "respawn" or args.straggler_deadline is not None
+    if degraded and spec.solver != "cg":
+        print("error: --policy/--straggler-deadline run the fault-tolerant "
+              "program and support --solver cg only", file=sys.stderr)
         return 2
     if args.backend == "process":
         ok, detail = process_backend_support()
         if not ok:
-            print(f"error: process backend unavailable: {detail}",
-                  file=sys.stderr)
+            print(f"error: process backend unavailable on this platform: "
+                  f"{detail}", file=sys.stderr)
             return 2
-        backend = "process"
-        machine_desc = f"{args.nprocs} OS processes"
+        backend = ProcessBackend()
+        machine = f"{args.nprocs} OS processes"
+        start = f" ({backend.start_method or default_start_method()} start)"
+        clock = "wall time"
     else:
         backend = SimulatedBackend(topology=args.topology)
-        machine_desc = f"{args.nprocs} procs, {args.topology} (simulated)"
-    crit = StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter)
-    extra_kwargs = {}
-    if getattr(args, "checkpoint_dir", None):
-        from .backend.store import DurableCheckpointStore
+        machine = f"{args.nprocs} procs, {args.topology} (simulated)"
+        start = ""
+        clock = "sim time "
+    result = solve(spec, backend)
 
-        extra_kwargs["store"] = DurableCheckpointStore(args.checkpoint_dir)
-    result = hpcg_solve(
-        shape, backend=backend, nprocs=args.nprocs, precond=args.precond,
-        fused=args.fused, reproducible=args.reproducible, criterion=crit,
-        **extra_kwargs,
-    )
-    hp = result.extras["hpcg"]
-    nx, ny, nz = shape
     marks = "".join(
         m for m, on in ((" [fused]", args.fused),
                         (" [reproducible]", args.reproducible)) if on
     )
-    print(f"scenario  : stencil27 {nx}x{ny}x{nz} "
-          f"(n={result.x.size}, 27-point)")
-    print(f"machine   : {machine_desc}, process grid "
-          f"{'x'.join(str(g) for g in hp['grid'])}")
-    print(f"solver    : hpcg cg / precond={hp['precond']}"
-          f"{' depth=' + str(hp['mg_depth']) if hp['precond'] == 'mg' else ''}"
-          f"{marks}")
+    timing = [f"{clock} : {result.machine_elapsed * 1e3:.3f} ms"]
+    hp = result.extras.get("hpcg")
+    if hp is not None:
+        _print_result(result, [
+            f"scenario  : stencil27 {'x'.join(str(s) for s in spec.shape)} "
+            f"(n={result.x.size}, 27-point)",
+            f"machine   : {machine}, process grid "
+            f"{'x'.join(str(g) for g in hp['grid'])}",
+            f"solver    : hpcg cg / precond={hp['precond']}"
+            + (f" depth={hp['mg_depth']}" if hp["precond"] == "mg" else "")
+            + marks,
+        ], timing)
+        halo = hp["halo"]
+        print(f"halo      : {halo['neighbors']} neighbors "
+              f"({halo['faces']}f/{halo['edges']}e/{halo['corners']}c), "
+              f"{halo['words_per_exchange']} words per exchange")
+        print("phases    : " + "  ".join(
+            f"{k}={hp['phase_seconds'][k] * 1e3:.2f}ms"
+            for k in ("setup", "spmv", "mg", "dot")))
+        resil = result.extras.get("resilience")
+        if resil:
+            restarted = resil.get("restarted_from")
+            print(f"resilience: checkpoints="
+                  f"{resil.get('checkpoints_published', 0)} "
+                  f"audits={resil.get('audits', 0)} "
+                  f"rollbacks={resil.get('rollbacks', 0)}"
+                  + (f" resumed from iteration {restarted}"
+                     if restarted is not None else ""))
+    else:
+        if args.backend == "process":
+            times = result.extras["timings"]
+            timing = [f"{timing[0]} (measured)"] + [
+                f"  {key:<7} : {times.get(key, 0.0) * 1e3:.3f} ms"
+                for key in ("compute", "comm", "send")]
+        _print_result(result, [
+            f"matrix    : {problem}",
+            f"machine   : {machine}{start}",
+            f"solver    : {result.solver} / {result.strategy}{marks}",
+        ], timing)
+    recovery = result.extras.get("recovery")
+    if recovery and args.backend == "process":
+        print(f"recovery  : policy={recovery['policy']} "
+              f"attempts={recovery['attempts']} "
+              f"final ranks={recovery['final_nprocs']}")
+        for shrink in recovery.get("shrinks", []):
+            print(f"  {shrink['summary']}")
+    return 0 if result.converged else 1
+
+
+def _print_result(result, head: List[str], timing: List[str]) -> None:
+    """``repro solve``'s report: ``head``, convergence, ``timing``, traffic."""
+    for line in head:
+        print(line)
     print(f"converged : {result.converged} in {result.iterations} iterations")
     print(f"residual  : {result.final_residual:.3e}")
-    label = "wall time" if args.backend == "process" else "sim time "
-    print(f"{label} : {result.machine_elapsed * 1e3:.3f} ms")
+    for line in timing:
+        print(line)
     print(f"comm      : {result.comm['messages']} messages, "
           f"{result.comm['words']:.0f} words")
-    halo = hp["halo"]
-    print(f"halo      : {halo['neighbors']} neighbors "
-          f"({halo['faces']}f/{halo['edges']}e/{halo['corners']}c), "
-          f"{halo['words_per_exchange']} words per exchange")
-    ph = hp["phase_seconds"]
-    print("phases    : " + "  ".join(
-        f"{k}={ph[k] * 1e3:.2f}ms" for k in ("setup", "spmv", "mg", "dot")
-    ))
-    resil = result.extras.get("resilience")
-    if resil:
-        restarted = resil.get("restarted_from")
-        print(f"resilience: checkpoints={resil.get('checkpoints_published', 0)} "
-              f"audits={resil.get('audits', 0)} "
-              f"rollbacks={resil.get('rollbacks', 0)}"
-              + (f" resumed from iteration {restarted}"
-                 if restarted is not None else ""))
-    return 0 if result.converged else 1
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -551,16 +552,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print("error: --checkpoint-dir needs --scenario stencil27",
               file=sys.stderr)
         return 2
-    if args.scenario == "stencil27":
-        return _cmd_solve_hpcg(args)
-    if args.backend == "process":
-        return _cmd_solve_process(args)
-    if (args.policy != "respawn" or args.straggler_deadline is not None
-            or args.heartbeat_interval is not None):
-        print("error: --policy/--straggler-deadline/--heartbeat-interval "
-              "need --backend process; for the simulated substrate use "
-              "'repro chaos --stragglers --policy shrink'", file=sys.stderr)
+    if args.backend == "simulated" and (
+            args.policy != "respawn" or args.straggler_deadline is not None
+            or args.heartbeat_interval is not None
+            or args.timeout is not None):
+        print("error: --policy/--straggler-deadline/--heartbeat-interval/"
+              "--timeout need --backend process; for the simulated "
+              "substrate use 'repro chaos --stragglers --policy shrink'",
+              file=sys.stderr)
         return 2
+    if (args.backend == "process" or args.scenario or args.fused
+            or args.reproducible):
+        # real processes, the HPCG stencil, and the fused and reproducible
+        # modes live in the backend-portable SPMD rank programs
+        return _cmd_solve_backend(args)
 
     from . import (
         JacobiPreconditioner,
@@ -579,68 +584,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(0)
     b = rng.standard_normal(A.nrows)
 
-    if args.fused or args.reproducible:
-        # the fused and reproducible modes live in the backend-portable
-        # SPMD rank programs; run them on the simulated substrate
-        from . import StoppingCriterion, backend_solve
-        from .backend import SimulatedBackend
-        from .backend.solve import SOLVER_PROGRAMS
-
-        flags = "/".join(
-            f for f, on in (("--fused", args.fused),
-                            ("--reproducible", args.reproducible)) if on
-        )
-        if args.solver not in SOLVER_PROGRAMS:
-            print(f"error: {flags} supports solvers "
-                  f"{sorted(set(SOLVER_PROGRAMS))}, not {args.solver!r}",
-                  file=sys.stderr)
-            return 2
-        crit = StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter)
-        backend = SimulatedBackend(topology=args.topology)
-        result = backend_solve(args.solver, A, b, backend=backend,
-                               nprocs=args.nprocs, criterion=crit,
-                               fused=args.fused,
-                               reproducible=args.reproducible)
-        marks = "".join(
-            m for m, on in ((" [fused]", args.fused),
-                            (" [reproducible]", args.reproducible)) if on
-        )
-        print(f"matrix    : {args.matrix} n={A.nrows} nnz={A.nnz}")
-        print(f"machine   : {args.nprocs} procs, {args.topology} (simulated)")
-        print(f"solver    : {result.solver} / {result.strategy}{marks}")
-        print(f"converged : {result.converged} in {result.iterations} "
-              f"iterations")
-        print(f"residual  : {result.final_residual:.3e}")
-        print(f"sim time  : {result.machine_elapsed * 1e3:.3f} ms")
-        print(f"comm      : {result.comm['messages']} messages, "
-              f"{result.comm['words']:.0f} words")
-        return 0 if result.converged else 1
-
     machine = Machine(nprocs=args.nprocs, topology=args.topology)
     strategy = make_strategy(args.strategy, machine, A)
     crit = StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter)
 
-    if args.solver == "cg":
-        result = hpf_cg(strategy, b, criterion=crit)
-    elif args.solver == "pcg":
+    if args.solver == "pcg":
         result = hpf_pcg(strategy, b, JacobiPreconditioner(A), criterion=crit)
-    elif args.solver == "bicg":
-        result = hpf_bicg(strategy, b, criterion=crit)
-    elif args.solver == "cgs":
-        result = hpf_cgs(strategy, b, criterion=crit)
-    elif args.solver == "bicgstab":
-        result = hpf_bicgstab(strategy, b, criterion=crit)
     else:
-        result = hpf_gmres(strategy, b, criterion=crit)
+        hpf_solver = {"cg": hpf_cg, "bicg": hpf_bicg, "cgs": hpf_cgs,
+                      "bicgstab": hpf_bicgstab}.get(args.solver, hpf_gmres)
+        result = hpf_solver(strategy, b, criterion=crit)
 
-    print(f"matrix    : {args.matrix} n={A.nrows} nnz={A.nnz}")
-    print(f"machine   : {args.nprocs} procs, {args.topology}")
-    print(f"solver    : {result.solver} / {result.strategy}")
-    print(f"converged : {result.converged} in {result.iterations} iterations")
-    print(f"residual  : {result.final_residual:.3e}")
-    print(f"sim time  : {result.machine_elapsed * 1e3:.3f} ms")
-    print(f"comm      : {result.comm['messages']} messages, "
-          f"{result.comm['words']:.0f} words")
+    _print_result(result, [
+        f"matrix    : {args.matrix} n={A.nrows} nnz={A.nnz}",
+        f"machine   : {args.nprocs} procs, {args.topology}",
+        f"solver    : {result.solver} / {result.strategy}",
+    ], [f"sim time  : {result.machine_elapsed * 1e3:.3f} ms"])
     for op, agg in sorted(machine.stats.by_op().items()):
         print(f"  {op:<15} {agg['words']:>12.0f} words  {agg['time'] * 1e3:8.3f} ms")
     return 0 if result.converged else 1
@@ -931,7 +890,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from .backend import process_backend_support
     from .backend.simulated import SimulatedBackend
     from .service import (
-        JobSpec,
         RetryPolicy,
         ServiceOverloadedError,
         SolverService,
@@ -949,38 +907,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     else:
         backend = SimulatedBackend()
 
-    common = dict(
-        tenant=args.tenant, nprocs=args.nprocs,
-        criterion=StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter),
-        policy=args.policy, fused=args.fused,
-        deadline=args.deadline if args.backend == "process" else None,
-        checkpoint_dir=args.checkpoint_dir,
-        idempotency_key=args.idempotency_key,
-    )
-    if args.scenario == "stencil27":
-        if args.policy == "rebalance":
-            print("error: stencil27 jobs support --policy respawn|shrink",
-                  file=sys.stderr)
-            return 2
-        try:
-            shape = _parse_shape(args.shape)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        problem_desc = (
-            f"stencil27 {'x'.join(str(s) for s in shape)} "
-            f"precond={args.precond}"
+    try:
+        spec, problem_desc = _job_spec(
+            args, tenant=args.tenant, nprocs=args.nprocs,
+            criterion=StoppingCriterion(rtol=args.rtol, maxiter=args.maxiter),
+            policy=args.policy, fused=args.fused,
+            reproducible=args.reproducible,
+            deadline=args.deadline if args.backend == "process" else None,
+            checkpoint_dir=args.checkpoint_dir,
+            idempotency_key=args.idempotency_key,
         )
-        spec = JobSpec(
-            scenario="stencil27", shape=shape, precond=args.precond,
-            reproducible=args.reproducible, **common,
-        )
-    else:
-        A = _make_matrix(args.matrix, args.n)
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(A.nrows)
-        problem_desc = f"{args.matrix} n={A.nrows} nnz={A.nnz}"
-        spec = JobSpec(matrix=A, b=b, solver=args.solver, **common)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     deduped = False
     with SolverService(
         backend=backend, target_nprocs=args.nprocs,

@@ -19,7 +19,8 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend.solve import _resilient_solve, make_backend
+from ..backend.base import ExecutionBackend, RunOptions
+from ..backend.solve import _resilient_solve, _wants_recovery, make_backend
 from ..core.resilience import ResilienceConfig
 from ..core.result import ConvergenceHistory, SolveResult
 from ..core.stopping import StoppingCriterion
@@ -82,7 +83,7 @@ def assemble_hpcg_result(run, n: int, layout: Grid3DBlock) -> SolveResult:
 
 def hpcg_solve(
     shape: Union[int, Tuple[int, int, int]],
-    backend: str = "simulated",
+    backend: Union[str, ExecutionBackend] = "simulated",
     nprocs: int = 4,
     precond: str = "mg",
     fused: bool = False,
@@ -110,8 +111,9 @@ def hpcg_solve(
         Grid dimensions ``(nx, ny, nz)``, or a single int for a cube.
     backend, nprocs:
         Execution backend name (``"simulated"``/``"process"``) or instance,
-        and rank count; extra keyword arguments go to the backend
-        constructor.
+        and rank count; extra keyword arguments go to the constructor of
+        a named backend (an instance is already built, so it refuses
+        them with ``TypeError``).
     precond, fused, reproducible, mg_levels:
         Forwarded to :class:`~repro.hpcg.program.HPCGRankProgram`.
     b:
@@ -137,6 +139,25 @@ def hpcg_solve(
         complete checkpoint from a killed driver makes the solve resume
         there instead of from scratch.
     """
+    if backend_kwargs:
+        if not isinstance(backend, str):
+            raise TypeError(
+                f"hpcg_solve got constructor arguments "
+                f"{sorted(backend_kwargs)} for a built "
+                f"{type(backend).__name__}; pass them to it")
+        backend = make_backend(backend, **backend_kwargs)
+    return _hpcg_solve(
+        shape, backend, nprocs, RunOptions(), matrix=matrix, b=b,
+        faults=faults, resilience=resilience, policy=policy,
+        min_ranks=min_ranks, abft=abft, store=store, precond=precond,
+        fused=fused, reproducible=reproducible, x0=x0, criterion=criterion,
+        maxiter=maxiter, mg_levels=mg_levels, grid=grid,
+    )
+
+
+def _hpcg_solve(shape, backend, nprocs, options, *, matrix, b, faults,
+                resilience, policy, min_ranks, abft, store, **settings):
+    """:func:`hpcg_solve` with its per-run values in ``options``."""
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),) * 3
     nx, ny, nz = (int(s) for s in shape)
@@ -145,23 +166,16 @@ def hpcg_solve(
         matrix = stencil27(nx, ny, nz)
     if b is None:
         b = rhs_for_solution(matrix, np.ones(matrix.nrows))
-    options = dict(
-        x0=x0, criterion=criterion, maxiter=maxiter, precond=precond,
-        fused=fused, reproducible=reproducible, mg_levels=mg_levels, grid=grid,
-    )
 
     def assemble(run, program):
         return assemble_hpcg_result(
             run, matrix.nrows, program._layout_at(len(run.results)))
 
-    plain = (
-        faults is None and resilience is None and policy == "respawn"
-        and not abft and store is None
-    )
-    if plain:
-        program = HPCGRankProgram(matrix, b, shape, **options)
-        be = make_backend(backend, **backend_kwargs)
-        return assemble(be.run(program, nprocs), program)
+    be = make_backend(backend)
+    if not (abft or _wants_recovery(faults, resilience, policy, store,
+                                    options)):
+        program = HPCGRankProgram(matrix, b, shape, **settings)
+        return assemble(be.run(program, nprocs, options=options), program)
 
     if policy not in ("respawn", "shrink"):
         raise ValueError(
@@ -170,7 +184,7 @@ def hpcg_solve(
         )
     return _resilient_solve(
         lambda **guard: ResilientHPCGProgram(
-            matrix, b, shape, abft=abft, **options, **guard),
-        assemble, backend, backend_kwargs, nprocs, faults, resilience, store,
-        policy, min_ranks,
+            matrix, b, shape, abft=abft, **settings, **guard),
+        assemble, be, nprocs, options, faults, resilience, store, policy,
+        min_ranks,
     )

@@ -370,6 +370,12 @@ class FaultPlan:
             state_corruptions=tuple(self._corruptions),
         )
 
+    def without_crashes(self) -> "FaultPlan":
+        """A fresh copy of this plan (as :meth:`clone`) with no crashes."""
+        plan = self.clone()
+        plan._crashes = {}
+        return plan
+
     # ------------------------------------------------------------------ #
     # backend-agnostic decomposition (consumed by repro.backend)
     # ------------------------------------------------------------------ #

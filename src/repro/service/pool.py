@@ -7,7 +7,8 @@ NumPy/module state warm-up, and a full reap.  For the ROADMAP's
 :class:`WarmPool` keeps one **generation** of rank processes alive across
 jobs: each worker blocks on its task link of the generation's
 :class:`~repro.backend.transport.Fabric`, receives
-``(job_id, program, timeout)``, runs the *exact same* ``_drive`` loop the
+``(job_id, program, timeout, trace, heartbeat_interval)`` -- the job's own
+deadlines travel with it -- runs the *exact same* ``_drive`` loop the
 one-shot backend runs (same heartbeats, same checkpoint publishing, same
 deadline semantics), then loops for the next job.  Partition and
 distribution caches memoized inside each worker (PR 5) stay hot between
@@ -51,11 +52,10 @@ from __future__ import annotations
 import multiprocessing as mp
 from typing import Any, Dict, Optional
 
-from ..backend.base import BackendError, BackendRun, ProgramFactory
+from ..backend.base import BackendError, BackendRun, ProgramFactory, RunOptions
 from ..backend.process import (
     ProcessBackend,
     _run_rank,
-    crash_injection_support,
     process_backend_support,
 )
 from ..backend.transport import Fabric
@@ -63,7 +63,7 @@ from ..backend.transport import Fabric
 __all__ = ["WarmPool"]
 
 
-def _pool_worker_main(rank, size, fabric, result_q, barrier, hb_interval):
+def _pool_worker_main(rank, size, fabric, result_q, barrier):
     """Persistent worker: serve jobs until told to stop or a job breaks."""
     mailbox = fabric.endpoint(rank)
     try:
@@ -71,7 +71,7 @@ def _pool_worker_main(rank, size, fabric, result_q, barrier, hb_interval):
             task = fabric.tasks[rank].get()
             if task[0] == "stop":
                 break
-            _, job_id, program, timeout, trace = task
+            _, job_id, program, timeout, trace, hb_interval = task
             mailbox.begin(job_id)
             intact = _run_rank(rank, size, program, mailbox, result_q,
                                barrier, timeout, trace, hb_interval)
@@ -94,7 +94,7 @@ def _pool_worker_main(rank, size, fabric, result_q, barrier, hb_interval):
 class _Generation:
     """One cohort of persistent workers sharing a fabric and a barrier."""
 
-    def __init__(self, ctx, nprocs: int, hb_interval: float):
+    def __init__(self, ctx, nprocs: int):
         self.nprocs = nprocs
         self.fabric = Fabric(ctx, nprocs, dispatch=True)
         self.result_q = ctx.Queue()
@@ -105,7 +105,7 @@ class _Generation:
             ctx.Process(
                 target=_pool_worker_main,
                 args=(rank, nprocs, self.fabric, self.result_q,
-                      self.barrier, hb_interval),
+                      self.barrier),
                 name=f"repro-pool-{rank}",
                 daemon=True,
             )
@@ -120,10 +120,11 @@ class WarmPool(ProcessBackend):
     """A :class:`ProcessBackend` whose workers survive between runs.
 
     Accepts every ``ProcessBackend`` knob (timeout, heartbeat interval,
-    straggler deadline, fault plan, ``crash_on_checkpoint``) with the
-    same semantics -- re-read at each ``run()``, so a service can set
-    per-job deadlines on the shared instance.  ``target_nprocs`` is the
-    pool's home size: :meth:`heal` restores it after a shrink.
+    straggler deadline, fault plan, ``crash_on_checkpoint``) as the same
+    defaults; a job's :class:`~repro.backend.base.RunOptions` override them
+    for that job only, and its heartbeat interval ships with its task.
+    ``target_nprocs`` is the pool's home size: :meth:`heal` restores it
+    after a shrink.
     """
 
     name = "warm_pool"
@@ -165,7 +166,7 @@ class WarmPool(ProcessBackend):
             ctx = mp.get_context(detail)
             # owned before the first start: a failed start leaves a
             # generation the next call condemns, arena and pipes included
-            gen = self._gen = _Generation(ctx, nprocs, self.heartbeat_interval)
+            gen = self._gen = _Generation(ctx, nprocs)
             self.rebuilds += 1
             for w in gen.workers:
                 w.start()
@@ -220,24 +221,23 @@ class WarmPool(ProcessBackend):
         nprocs: int,
         *,
         checkpoints: Optional[Dict[int, Dict[int, Any]]] = None,
+        options: Optional[RunOptions] = None,
     ) -> BackendRun:
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if self._wants_kills():
-            ok_kill, why = crash_injection_support(self.start_method)
-            if not ok_kill:
-                raise BackendError(f"crash injection unavailable: {why}")
+        opts = self.run_options(options)
         gen = self._ensure_generation(nprocs)
         job_id = gen.next_job_id
         gen.next_job_id += 1
         # pickled once, here: an unpicklable program raises before any
         # worker has seen a byte, and the generation stays warm
         gen.fabric.dispatch(
-            ("job", job_id, program, self.timeout, self.trace),
-            f"program {program!r}", self.timeout, gen.healthy)
+            ("job", job_id, program, opts.timeout, self.trace,
+             opts.heartbeat_interval),
+            f"program {program!r}", opts.timeout, gen.healthy)
         try:
             reports = self._collect(gen.workers, gen.result_q, checkpoints,
-                                    job_id)
+                                    opts, job_id)
         except BaseException:
             # deadline, crash, straggler, worker error, KeyboardInterrupt:
             # the generation's barrier/queues are unusable -- reap it all,

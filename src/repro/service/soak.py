@@ -1,6 +1,7 @@
 """Chaos-driven service soak: a seeded multi-tenant job stream under fire.
 
-Each job's faults are drawn by :func:`~repro.backend.chaos.chaos_plan`
+Each job's faults are drawn by :func:`~repro.backend.chaos.chaos_plan`,
+expressed for the substrate by :func:`~repro.backend.chaos.spec_faults`,
 and each converged answer is held to its reference by
 :func:`~repro.backend.chaos.judge` -- the chaos harness's contract, one
 copy.  What this module adds is about *streams*:
@@ -38,6 +39,7 @@ from ..backend.chaos import (
     chaos_plan,
     chaos_reference,
     judge,
+    spec_faults,
 )
 from ..backend.simulated import SimulatedBackend
 from .breaker import CircuitBreaker
@@ -198,7 +200,7 @@ def soak_run(
             backend=(
                 WarmPool(nprocs, timeout=deadline)
                 if backend == "process"
-                else SimulatedBackend(straggler_deadline=0.25)
+                else SimulatedBackend()
             ),
             target_nprocs=nprocs,
             queue=TenantFairQueue(max_depth=jobs + backlog + 8),
@@ -230,21 +232,11 @@ def soak_run(
             nprocs=nprocs,
             criterion=CHAOS_CRITERION,
             resilience=CHAOS_RESILIENCE,
-            faults=drawn["plan"],
-            crash_on_checkpoint=drawn["crash_on_checkpoint"],
             policy=policy,
             deadline=deadline if backend == "process" else None,
-            # deadline units are substrate-specific: wall seconds on the
-            # process pool, virtual seconds on the simulator (same split
-            # as the chaos harness)
-            straggler_deadline=(
-                (straggler_deadline if backend == "process" else 0.25)
-                if planned["straggler"] else None
-            ),
-            heartbeat_interval=(
-                min(0.1, straggler_deadline / 4.0)
-                if backend == "process" and planned["straggler"] else None
-            ),
+            **spec_faults(
+                drawn, backend,
+                straggler_deadline if planned["straggler"] else None),
         )
         handle = service.submit(spec)
         submitted.append((handle, job_seed, fault))

@@ -104,3 +104,48 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "SCCS-703" in proc.stdout
+
+
+class TestSolveKnobs:
+    """One flag check covers both scenarios of ``repro solve``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "stencil27", "--policy", "rebalance",
+         "--timeout", "0.001"],
+        ["--scenario", "stencil27", "--timeout", "5"],
+        ["--scenario", "stencil27", "--straggler-deadline", "1.0"],
+        ["--scenario", "stencil27", "--heartbeat-interval", "0.1"],
+        ["--scenario", "stencil27", "--policy", "shrink"],
+        ["--timeout", "5"],
+    ])
+    def test_process_knobs_rejected_on_the_simulator(self, argv, capsys):
+        assert main(["solve", "--shape", "4", "-p", "2", *argv]) == 2
+        assert "need --backend process" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--backend", "process"],
+        ["submit", "--backend", "simulated"],
+    ])
+    def test_stencil27_refuses_rebalance_alike(self, command, capsys):
+        argv = [*command, "--scenario", "stencil27", "--shape", "4",
+                "-p", "2", "--policy", "rebalance"]
+        assert main(argv) == 2
+        assert ("error: stencil27 jobs support --policy respawn|shrink"
+                in capsys.readouterr().err)
+
+    def test_stencil27_process_honours_recovery_knobs(self, capsys):
+        from repro.backend import process_backend_support
+
+        ok, detail = process_backend_support()
+        if not ok:
+            pytest.skip(f"process backend unavailable: {detail}")
+        rc = main([
+            "solve", "--scenario", "stencil27", "--backend", "process",
+            "--shape", "6", "-p", "2", "--precond", "jacobi",
+            "--policy", "shrink", "--straggler-deadline", "5",
+            "--heartbeat-interval", "0.1", "--timeout", "60",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "converged : True" in out
+        assert "recovery  : policy=shrink attempts=1 final ranks=2" in out

@@ -311,6 +311,71 @@ class TestResliceSnapshots:
             reslice_snapshots(snaps, old, Block(n, 3))
 
 
+def _untimed(recovery):
+    """A recovery record without its wall-clock fields."""
+    rec = dict(recovery, recovery_wall=None)
+    rec["attempt_log"] = [dict(e, elapsed=None) for e in rec["attempt_log"]]
+    return rec
+
+
+class TestInstanceRunsLikeName:
+    """A backend instance runs the same solve as the backend's name.
+
+    Regression: given an instance, ``backend_solve`` / ``hpcg_solve``
+    dropped the straggler deadline and the plan's substrate share, so a
+    crash never fired and a straggler was never detected.
+    """
+
+    #: fault -> (plan, straggler deadline, the recovery list it lands in)
+    FAULTS = {
+        "straggler": (lambda: FaultPlan(seed=0, slowdowns=[
+            RankSlowdown(1, at_time=0.0, factor=50.0)]),
+            1e-4, "stragglers_detected"),
+        "crash": (lambda: FaultPlan(seed=0, crashes=[RankCrash(2, 1e-3)]),
+                  None, "crashes_recovered"),
+    }
+
+    @staticmethod
+    def _solve(entry, backend, faults, deadline):
+        from repro.backend.chaos import (
+            CHAOS_CRITERION,
+            CHAOS_RESILIENCE,
+            _chaos_problem,
+        )
+        from repro.hpcg import hpcg_solve
+
+        common = dict(nprocs=4, criterion=CHAOS_CRITERION, faults=faults,
+                      resilience=CHAOS_RESILIENCE, policy="shrink")
+        if entry == "cg":
+            A, b = _chaos_problem(48)
+            return backend_solve("cg", A, b, backend=backend,
+                                 straggler_deadline=deadline, **common)
+        if isinstance(backend, str):  # a constructor argument, by name
+            common["straggler_deadline"] = deadline
+        return hpcg_solve(6, backend=backend, precond="jacobi", **common)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("entry", ["cg", "hpcg"])
+    def test_same_recovery_record(self, entry, fault):
+        plan, deadline, landed = self.FAULTS[fault]
+        by_name = self._solve(entry, "simulated", plan(), deadline)
+        instance = SimulatedBackend(
+            straggler_deadline=deadline if entry == "hpcg" else None)
+        by_instance = self._solve(entry, instance, plan(), deadline)
+        rec = by_name.extras["recovery"]
+        assert rec[landed] and rec["final_nprocs"] < 4  # fired, shrank
+        assert _untimed(by_instance.extras["recovery"]) == _untimed(rec)
+        assert by_instance.x.tobytes() == by_name.x.tobytes()
+        assert instance.faults is None  # the instance kept its own plan
+
+    def test_hpcg_refuses_constructor_arguments_for_an_instance(self):
+        from repro.hpcg import hpcg_solve
+
+        with pytest.raises(TypeError, match="straggler_deadline"):
+            hpcg_solve(4, backend=SimulatedBackend(), nprocs=2,
+                       straggler_deadline=1e-4)
+
+
 class _AlwaysCrashBackend:
     """Fake substrate: every run loses rank 0 immediately."""
 
@@ -320,7 +385,7 @@ class _AlwaysCrashBackend:
     def __init__(self):
         self.calls = 0
 
-    def run(self, program, nprocs, checkpoints=None):
+    def run(self, program, nprocs, checkpoints=None, options=None):
         self.calls += 1
         raise WorkerCrashedError(0, "staged fail-stop")
 

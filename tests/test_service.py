@@ -12,8 +12,11 @@ import pytest
 
 from repro.backend.base import ExecutionBackend, WorkerCrashedError
 from repro.backend.chaos import _chaos_problem
+from repro.backend.process import ProcessBackend
 from repro.backend.simulated import SimulatedBackend
+from repro.core.resilience import ResilienceConfig
 from repro.core.stopping import StoppingCriterion
+from repro.machine.faults import FaultPlan, RankCrash
 from repro.service import (
     CircuitBreaker,
     JobSpec,
@@ -43,11 +46,12 @@ class FlakyBackend(ExecutionBackend):
         self.runs = 0
         self.inner = SimulatedBackend()
 
-    def run(self, program, nprocs, *, checkpoints=None):
+    def run(self, program, nprocs, *, checkpoints=None, options=None):
         self.runs += 1
         if self.runs <= self.fail_first:
             raise WorkerCrashedError(0, "injected flaky-backend crash")
-        return self.inner.run(program, nprocs, checkpoints=checkpoints)
+        return self.inner.run(program, nprocs, checkpoints=checkpoints,
+                              options=options)
 
 
 #: retry policy with no real sleeping (tests must not wait out backoff)
@@ -202,87 +206,87 @@ class TestBreaker:
         assert svc.breaker.state == "closed"
 
 
-class TestPerJobKnobIsolation:
-    """Per-job SLA knobs must not leak into the shared backend.
+class _RecordingProcessBackend(ProcessBackend):
+    """A process backend whose runs execute on the simulator.
 
-    Regression: ``_run_attempt`` sets ``timeout``/``heartbeat_interval``
-    on the shared backend only when the spec provides them, so a job
-    with a deadline used to poison every later job that did not set its
-    own.  The backend never runs (``backend_solve`` is stubbed), so a
-    bare ``ProcessBackend`` works without spawning processes.
+    It records every run's effective options and refuses any attribute
+    write once built, so a job can only reach its run through the run's
+    options.  No process is spawned.
     """
 
-    def _stubbed_service(self, monkeypatch, backend, seen):
-        from types import SimpleNamespace
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.seen = []
+        self._built = True
 
-        import repro.service.service as service_mod
+    def __setattr__(self, name, value):
+        if getattr(self, "_built", False):
+            raise AssertionError(f"backend.{name} written during a job")
+        super().__setattr__(name, value)
 
-        def fake_backend_solve(solver, matrix, b, *, backend, **kw):
-            seen.append({
-                "timeout": backend.timeout,
-                "heartbeat_interval": backend.heartbeat_interval,
-                "straggler_deadline": backend.straggler_deadline,
-                "crash_on_checkpoint": dict(backend.crash_on_checkpoint),
-            })
-            return SimpleNamespace(x=np.zeros(4), iterations=1, extras={})
+    def run(self, program, nprocs, *, checkpoints=None, options=None):
+        self.seen.append(self.run_options(options))
+        return SimulatedBackend().run(program, nprocs,
+                                      checkpoints=checkpoints)
 
-        monkeypatch.setattr(service_mod, "backend_solve",
-                            fake_backend_solve)
-        return SolverService(backend=backend, target_nprocs=4)
 
-    def test_deadline_does_not_leak_between_jobs(self, monkeypatch):
-        from repro.backend.process import ProcessBackend
+def _every_knob(**kw):
+    return _spec(deadline=5.0, heartbeat_interval=0.01,
+                 straggler_deadline=1.0, crash_on_checkpoint={0: 2},
+                 faults=FaultPlan(seed=3, crashes=[RankCrash(1, 10.0)]),
+                 **kw)
 
-        be = ProcessBackend(timeout=300.0, heartbeat_interval=0.5)
-        seen = []
-        with self._stubbed_service(monkeypatch, be, seen) as svc:
-            assert svc.solve(
-                _spec(deadline=5.0, heartbeat_interval=0.01,
-                      straggler_deadline=1.0,
-                      crash_on_checkpoint={0: 2}),
-                timeout=30.0,
-            ).ok
-            assert svc.solve(_spec(), timeout=30.0).ok
-        # job 1 saw its own knobs...
-        assert seen[0]["timeout"] == 5.0
-        assert seen[0]["heartbeat_interval"] == 0.01
-        assert seen[0]["straggler_deadline"] == 1.0
-        assert seen[0]["crash_on_checkpoint"] == {0: 2}
-        # ...job 2 saw the backend's own defaults, not job 1's leftovers
-        assert seen[1]["timeout"] == 300.0
-        assert seen[1]["heartbeat_interval"] == 0.5
-        assert seen[1]["straggler_deadline"] is None
-        assert seen[1]["crash_on_checkpoint"] == {}
 
-    def test_knobs_restored_after_each_attempt(self, monkeypatch):
-        from repro.backend.process import ProcessBackend
+class TestPerJobKnobIsolation:
+    """A job's knobs reach its runs and never the shared backend.
 
-        be = ProcessBackend(timeout=300.0, heartbeat_interval=0.5)
-        seen = []
-        with self._stubbed_service(monkeypatch, be, seen) as svc:
-            assert svc.solve(_spec(deadline=2.5), timeout=30.0).ok
-        assert be.timeout == 300.0
-        assert be.heartbeat_interval == 0.5
-        assert be.straggler_deadline is None
-        assert be.crash_on_checkpoint in (None, {})
+    Regression: per-job SLA knobs used to be set on the shared backend
+    around each attempt, so a job with a deadline poisoned every later job
+    that did not set its own.  They now travel in the run's options.
+    """
 
-    def test_simulated_fault_plan_restored(self, monkeypatch):
-        from types import SimpleNamespace
+    @staticmethod
+    def _knobs(opts):
+        return (opts.timeout, opts.heartbeat_interval,
+                opts.straggler_deadline, opts.crash_on_checkpoint)
 
-        import repro.service.service as service_mod
-
-        be = SimulatedBackend()
-        sentinel = object()
-        be.faults = sentinel
-        monkeypatch.setattr(
-            service_mod, "backend_solve",
-            lambda *a, **kw: SimpleNamespace(x=np.zeros(4), iterations=1,
-                                             extras={}),
-        )
+    def test_deadline_does_not_leak_between_jobs(self):
+        be = _RecordingProcessBackend(timeout=300.0, heartbeat_interval=0.5)
         with SolverService(backend=be, target_nprocs=4) as svc:
-            assert svc.solve(_spec(straggler_deadline=0.25),
+            assert svc.solve(_every_knob(), timeout=30.0).ok
+            assert svc.solve(_spec(), timeout=30.0).ok
+        # job 1 ran under its own knobs...
+        assert self._knobs(be.seen[0]) == (5.0, 0.01, 1.0, {0: 2})
+        assert be.seen[0].faults.crash_schedule() == (RankCrash(1, 10.0),)
+        # ...job 2 under the backend's own defaults, not job 1's leftovers
+        assert self._knobs(be.seen[-1]) == (300.0, 0.5, None, {})
+        assert be.seen[-1].faults is None
+
+    def test_knobs_never_written_to_the_backend(self):
+        be = _RecordingProcessBackend(timeout=300.0, heartbeat_interval=0.5)
+        before = {k: v for k, v in vars(be).items() if k != "seen"}
+        with SolverService(backend=be, target_nprocs=4) as svc:
+            assert svc.solve(_every_knob(resilience=ResilienceConfig()),
                              timeout=30.0).ok
-        assert be.faults is sentinel  # restored, not cleared
+        after = {k: v for k, v in vars(be).items() if k != "seen"}
+        assert after == before
+        assert be.crash_on_checkpoint == {} and be.faults is None
+
+    def test_simulated_fault_plan_never_written(self):
+        default = FaultPlan(seed=9)
+        be = SimulatedBackend(faults=default)
+        with SolverService(backend=be, target_nprocs=4) as svc:
+            res = svc.solve(
+                _spec(straggler_deadline=0.25, resilience=ResilienceConfig(),
+                      faults=FaultPlan(seed=1, crashes=[RankCrash(2, 1e-3)])),
+                timeout=30.0)
+        assert res.ok
+        # the job's own crash fired on the shared instance...
+        log = res.attempts[-1].recovery_log
+        assert [(e["outcome"], e["rank"]) for e in log] == [("crash", 2)]
+        # ...and the instance kept its own plan and deadline
+        assert be.faults is default and not default.stats.crashed_ranks
+        assert be.straggler_deadline is None
 
 
 class TestShutdown:
@@ -301,12 +305,13 @@ class TestShutdown:
             def __init__(self):
                 self.inner = SimulatedBackend()
 
-            def run(self, program, nprocs, *, checkpoints=None):
+            def run(self, program, nprocs, *, checkpoints=None, options=None):
                 import time
 
                 time.sleep(0.2)
                 return self.inner.run(program, nprocs,
-                                      checkpoints=checkpoints)
+                                      checkpoints=checkpoints,
+                                      options=options)
 
         svc = SolverService(backend=SlowBackend())
         svc.start()

@@ -15,6 +15,7 @@ from repro.backend.base import ExecutionBackend, WorkerCrashedError
 from repro.backend.chaos import _chaos_problem
 from repro.backend.simulated import SimulatedBackend
 from repro.core.stopping import StoppingCriterion
+from repro.hpcg import hpcg_solve
 from repro.service import (
     JobJournal,
     JobQuarantinedError,
@@ -65,7 +66,7 @@ class TestRecordLifecycle:
         class AlwaysCrash(ExecutionBackend):
             name = "crash"
 
-            def run(self, program, nprocs, *, checkpoints=None):
+            def run(self, program, nprocs, *, checkpoints=None, options=None):
                 raise WorkerCrashedError(0, "injected")
 
         with _service(
@@ -142,6 +143,54 @@ class TestRecordLifecycle:
         keys = {new_idempotency_key() for _ in range(64)}
         assert len(keys) == 64
         assert all(k.startswith("auto-") for k in keys)
+
+
+class TestParentRecordReplays:
+    """A journal written before ``JobSpec`` moved still replays.
+
+    The record below is one ``accepted`` record as the service wrote it
+    when ``JobSpec`` lived in ``repro.service.service``: its spec pickled
+    under that class path.  It is a 4x4x4 stencil27 job on 2 ranks,
+    Jacobi-preconditioned, rtol 1e-10, key ``parent-record``.
+    """
+
+    _PARENT_RECORD = (
+        b'RPJRNL1\n\x00\x00\x00\x00\x00\x00\x00\x00!\x02\x00\x00\x00'
+        b'\x00\x00\x00\xd7\x17\xa90\x80\x05\x95\x16\x02\x00\x00\x00'
+        b'\x00\x00\x00}\x94(\x8c\x05event\x94\x8c\x08accepted\x94\x8c'
+        b'\x03key\x94\x8c\rparent-record\x94\x8c\x04spec\x94\x8c\x15r'
+        b'epro.service.service\x94\x8c\x07JobSpec\x94\x93\x94)\x81'
+        b'\x94}\x94(\x8c\x06matrix\x94N\x8c\x01b\x94N\x8c\x06tenant'
+        b'\x94\x8c\x02t0\x94\x8c\x06solver\x94\x8c\x02cg\x94\x8c\x06n'
+        b'procs\x94K\x02\x8c\x02x0\x94N\x8c\tcriterion\x94\x8c\x13rep'
+        b'ro.core.stopping\x94\x8c\x11StoppingCriterion\x94\x93\x94)'
+        b'\x81\x94}\x94(\x8c\x04rtol\x94G=\xdb|\xdf\xd9\xd7\xbd\xbb'
+        b'\x8c\x04atol\x94G\x00\x00\x00\x00\x00\x00\x00\x00\x8c\x07ma'
+        b'xiter\x94Nub\x8c\x05fused\x94\x89\x8c\x06faults\x94N\x8c\nr'
+        b'esilience\x94N\x8c\x06policy\x94\x8c\x07respawn\x94\x8c\tmi'
+        b'n_ranks\x94K\x01\x8c\x08deadline\x94N\x8c\x12straggler_dead'
+        b'line\x94N\x8c\x12heartbeat_interval\x94N\x8c\x13crash_on_ch'
+        b'eckpoint\x94}\x94\x8c\x08scenario\x94\x8c\tstencil27\x94'
+        b'\x8c\x05shape\x94K\x04K\x04K\x04\x87\x94\x8c\x07precond\x94'
+        b'\x8c\x06jacobi\x94\x8c\x0creproducible\x94\x89\x8c\x04abft'
+        b'\x94\x89\x8c\x0echeckpoint_dir\x94N\x8c\x0fidempotency_key'
+        b'\x94h\x04ubh\rh\x0eu.'
+    )
+
+    def test_replays_and_solves_bitwise(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        journal_dir.mkdir()
+        (journal_dir / "jrn-0000000000.rec").write_bytes(
+            self._PARENT_RECORD)
+        assert type(JobJournal(str(journal_dir)).state(
+            "parent-record").spec) is JobSpec
+        with _service(tmp_path) as svc:
+            res = svc.handle_for("parent-record").result(timeout=30.0)
+        assert res.ok and res.nprocs_final == 2
+        ref = hpcg_solve((4, 4, 4), backend="simulated", nprocs=2,
+                         precond="jacobi",
+                         criterion=StoppingCriterion(rtol=1e-10, atol=0.0))
+        assert res.x.tobytes() == ref.x.tobytes()
 
 
 class TestDedupe:
@@ -373,10 +422,11 @@ class TestDeadlineExpiry:
                 self.runs = 0
                 self.inner = SimulatedBackend()
 
-            def run(self, program, nprocs, *, checkpoints=None):
+            def run(self, program, nprocs, *, checkpoints=None, options=None):
                 self.runs += 1
                 return self.inner.run(program, nprocs,
-                                      checkpoints=checkpoints)
+                                      checkpoints=checkpoints,
+                                      options=options)
 
         be = CountingBackend()
         with _service(tmp_path, backend=be) as svc:

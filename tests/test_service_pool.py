@@ -18,7 +18,9 @@ from repro.backend import (
     WorkerFailedError,
     process_backend_support,
 )
-from repro.backend.base import WorkerCrashedError
+from repro.backend.base import RunOptions, WorkerCrashedError
+from repro.backend.chaos import _chaos_problem
+from repro.backend.job import JobSpec, solve
 from repro.backend.process import ProcessBackend, crash_injection_support
 from repro.machine.events import Barrier, Compute, Recv, Send
 from repro.service import WarmPool, leaked_pool_workers
@@ -65,6 +67,20 @@ class BlockingRecvProgram:
             got = yield Recv(source=1, tag=99)
             return got
         yield Compute(1.0)
+        return rank
+
+
+class PacedProgram:
+    """Every rank does the same paced work: ``steps`` x (sleep, Compute)."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def __call__(self, rank, size):
+        for _ in range(self.steps):
+            time.sleep(0.05)
+            yield Compute(1.0)
+        yield Barrier("done")
         return rank
 
 
@@ -180,6 +196,63 @@ class TestCondemnation:
         run = pool.run(RingProgram(), 2)
         assert run.results == _expected_ring(2)
         assert pool.rebuilds == 2
+
+
+@needs_process
+class TestPerJobKnobs:
+    """Interleaved jobs on one pool each run under their own knobs."""
+
+    #: job A: a heartbeat far faster than the pool's 0.5 s default, and a
+    #: straggler deadline between the two -- only A's own heartbeat keeps
+    #: its evenly paced ranks from looking stale
+    A = RunOptions(heartbeat_interval=0.05, straggler_deadline=0.2)
+    #: job B: a short deadline and a straggler deadline above the default
+    #: heartbeat; its blocked receive must time out at B's 0.3 s
+    B = RunOptions(timeout=0.3, straggler_deadline=0.6)
+
+    def test_jobs_alternate_without_leaking_knobs(self):
+        with WarmPool(2, timeout=30.0, heartbeat_interval=0.5) as pool:
+            pool.heal()
+            run = pool.run(PacedProgram(14), 2, options=self.A)
+            assert run.results == [0, 1]
+            t0 = time.monotonic()
+            with pytest.raises((BackendTimeoutError, WorkerFailedError)):
+                pool.run(BlockingRecvProgram(), 2, options=self.B)
+            assert time.monotonic() - t0 < 5.0  # B's deadline, not 30 s
+            run = pool.run(PacedProgram(14), 2, options=self.A)
+            assert run.results == [0, 1]
+            assert pool.rebuilds == 2  # only B's timeout cost a generation
+            assert (pool.timeout, pool.heartbeat_interval,
+                    pool.straggler_deadline) == (30.0, 0.5, None)
+
+
+@pytest.mark.parametrize("options, error", [
+    (RunOptions(straggler_deadline=0.4),
+     r"straggler_deadline \(0.4s\) must exceed the heartbeat interval "
+     r"\(0.5s\)"),
+    (RunOptions(straggler_deadline=0.4, heartbeat_interval=0.1), None),
+    (RunOptions(heartbeat_interval=0.6, straggler_deadline=0.55),
+     "must exceed"),
+    (RunOptions(straggler_deadline=-1.0), "must be positive"),
+    (RunOptions(heartbeat_interval=-0.1), "must be positive"),
+    (RunOptions(timeout=-5.0), "must be positive"),
+    (RunOptions(timeout=5.0, heartbeat_interval=0.05), None),
+])
+def test_run_options_checked_against_pool_defaults(options, error):
+    pool = WarmPool(2, heartbeat_interval=0.5)  # never started
+    if error is None:
+        pool.run_options(options)
+    else:
+        with pytest.raises(ValueError, match=error):
+            pool.run_options(options)
+
+
+def test_bad_job_knobs_fail_before_any_rank_starts():
+    A, b = _chaos_problem(16)
+    pool = WarmPool(2, heartbeat_interval=0.5)
+    with pytest.raises(ValueError, match="0.4s.*0.5s"):
+        solve(JobSpec(matrix=A, b=b, nprocs=2, straggler_deadline=0.4), pool)
+    assert pool.rebuilds == 0 and pool.generation_size == 0
 
 
 @needs_process
