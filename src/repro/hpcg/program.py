@@ -26,13 +26,19 @@ Design choices that make the bitwise-reproducibility pin possible:
 * **halo exchange vs replicated preconditioning.**  With a local
   preconditioner (``none``/``jacobi``) the mat-vec operand is only known
   locally, so ranks exchange the faces, edges and corners of their subcube
-  with up to 26 neighbours; received values land in a full-length scatter
-  buffer so the CSR accumulation order -- and hence every mat-vec bit -- is
-  independent of the partition.  With ``mg`` the residual is allgathered
-  and every rank applies the deterministic V-cycle to the *full* vector
-  (the serialised-preconditioner treatment of
-  :func:`repro.core.pcg.hpf_pcg`, charged at ``flops_per_apply``), so the
-  mat-vec needs no halo at all.
+  with up to 26 neighbours; received values land in the ring of a padded
+  subcube.  With ``mg`` the residual is allgathered and every rank applies
+  the deterministic V-cycle to the *full* vector (the
+  serialised-preconditioner treatment of :func:`repro.core.pcg.hpf_pcg`,
+  charged at ``flops_per_apply``), so the mat-vec needs no halo at all:
+  the ring is sliced from that vector.
+
+* **one local product, whatever the partition.**  Each rank cuts its rows
+  of the matrix into the 27 coefficient planes of a
+  :class:`~repro.sparse.kernels.StencilBlock` and sums the planes times
+  shifted views of the pad in ascending neighbour offset, from zero.  That
+  is every row's ascending-column order, so every mat-vec bit is the
+  serial CSR product's at any rank count.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from ..hpf.distribution import Grid3DBlock
 from ..machine.events import Compute, Recv, Send
 from ..machine.faults import FaultPlan, RankFailedError
 from ..machine.reliable import ReliableConfig
-from ..sparse.kernels import CompressedBlock
+from ..sparse.kernels import StencilBlock
 from .mg import MultigridPreconditioner
 
 __all__ = [
@@ -97,11 +103,17 @@ def _box_expand(box, shape):
 
 
 def _box_ids(box, shape) -> np.ndarray:
-    """Global ids inside a box, in global row-major (z, y, x) order."""
-    nx, ny, nz = shape
+    """Global ids inside a box, in global row-major (z, y, x) order.
+
+    Built from the box's own extents: a slice of an ``n``-long id grid
+    would keep that grid alive wherever the slice is contiguous.
+    """
+    nx, ny, _ = shape
     (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
-    ids = np.arange(nx * ny * nz, dtype=np.int64).reshape(nz, ny, nx)
-    return ids[zlo:zhi, ylo:yhi, xlo:xhi].ravel()
+    z, y, x = np.ix_(np.arange(zlo, zhi, dtype=np.int64),
+                     np.arange(ylo, yhi, dtype=np.int64),
+                     np.arange(xlo, xhi, dtype=np.int64))
+    return ((z * ny + y) * nx + x).ravel()
 
 
 def halo_plan(layout: Grid3DBlock, rank: int) -> List[Dict[str, Any]]:
@@ -150,9 +162,17 @@ def halo_plan(layout: Grid3DBlock, rank: int) -> List[Dict[str, Any]]:
 
 
 class SubcubeOperator:
-    """``A v`` on one subcube (see the module docstring): the operand comes
-    from the full vector the replicated V-cycle left behind, a 26-neighbour
-    halo exchange or, on one rank, a local scatter."""
+    """``A v`` on one subcube (see the module docstring).
+
+    The operand lives in one held ``(lz+2, ly+2, lx+2)`` pad: the local
+    block fills its interior, and the ring around it comes from the full
+    vector the replicated V-cycle left behind or an allgather (a clipped
+    slice of the grid), or from a 26-neighbour halo exchange (each
+    received face, edge and corner written at pad positions mapped once).
+    Ring cells on the global boundary are never written and stay 0; with
+    no neighbours (one rank) only the interior is.  The product is a
+    :class:`~repro.sparse.kernels.StencilBlock` over that pad.
+    """
 
     def __init__(self, program, layout: Grid3DBlock, rank: int,
                  comm: Collectives):
@@ -160,16 +180,19 @@ class SubcubeOperator:
         self.layout = layout
         self.n = program.n
         self.rows = rows = layout.local_indices_cached(rank)
-        # slice the global CSR arrays down to this rank's rows
-        indptr = program.indptr
-        counts = indptr[rows + 1] - indptr[rows]
-        lptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=lptr[1:])
-        offs = (np.repeat(indptr[rows] - lptr[:-1], counts)
-                + np.arange(int(lptr[-1]), dtype=np.int64))
-        self.block = CompressedBlock(lptr, program.indices[offs],
-                                     program.data[offs])
+        box = layout.local_box(rank)
+        self.block = StencilBlock(program.indptr, program.indices,
+                                  program.data, layout.shape, box)
         self.flops = 2.0 * self.block.nnz
+        self.pad = np.zeros(tuple(s + 2 for s in self.block.shape))
+        self.interior = self.pad[1:-1, 1:-1, 1:-1]
+        #: grid coordinates ``(z, y, x)`` of pad cell ``(0, 0, 0)``
+        self.origin = tuple(lo - 1 for lo, _ in reversed(box))
+        # the grown box clipped to the grid, in the grid and in the pad
+        grown = list(reversed(_box_expand(box, layout.shape)))
+        self.grid_view = tuple(slice(a, b) for a, b in grown)
+        self.pad_view = tuple(slice(a - o, b - o)
+                              for (a, b), o in zip(grown, self.origin))
         self.plan = (
             halo_plan(layout, rank)
             if program.precond != "mg" and comm.size > 1 else []
@@ -178,6 +201,8 @@ class SubcubeOperator:
             np.asarray(layout.global_to_local(e["send_ids"]), dtype=np.int64)
             for e in self.plan
         ]
+        self.recv_pos = [self._pad_positions(e["recv_ids"])
+                         for e in self.plan]
         #: full operand left behind by the replicated preconditioner
         self.replicated: Optional[np.ndarray] = None
         #: host seconds inside the local SpMV (phase_spmv)
@@ -187,46 +212,59 @@ class SubcubeOperator:
             self.acsum = program.abs_colsum[rows]
             self.abft_rtol = program.abft_rtol
 
+    def _pad_positions(self, ids) -> np.ndarray:
+        """Flat pad positions of global ids inside the grown box."""
+        nx, ny, _ = self.layout.shape
+        iz, rem = np.divmod(ids, nx * ny)
+        iy, ix = np.divmod(rem, nx)
+        oz, oy, ox = self.origin
+        return np.ravel_multi_index((iz - oz, iy - oy, ix - ox),
+                                    self.pad.shape)
+
     def assemble(self, blocks) -> np.ndarray:
         full = np.zeros(self.n)
         for rr, blk in enumerate(blocks):
             full[self.layout.local_indices_cached(rr)] = blk
         return full
 
-    def _spmv(self, full):
+    def _fill(self, full) -> None:
+        nx, ny, nz = self.layout.shape
+        self.pad[self.pad_view] = full.reshape(nz, ny, nx)[self.grid_view]
+
+    def _spmv(self):
         t0 = time.perf_counter()
-        out = self.block.matvec(full)
+        out = self.block.matvec(self.pad)
         self.seconds += time.perf_counter() - t0
         yield Compute(self.flops)
         return out
 
     def apply_gathered(self, v, tag: int = 7):
         blocks = yield from self.comm.allgather(v, tag=tag)
-        return (yield from self._spmv(self.assemble(blocks)))
+        self._fill(self.assemble(blocks))
+        return (yield from self._spmv())
 
     def apply(self, u):
         if self.replicated is not None:
-            full, self.replicated = self.replicated, None
-        elif self.comm.size > 1:
-            full = yield from self.exchange(u)
+            self._fill(self.replicated)
+            self.replicated = None
         else:
-            full = np.zeros(self.n)
-            full[self.rows] = u
-        return (yield from self._spmv(full))
+            self.interior[...] = u.reshape(self.interior.shape)
+            yield from self.exchange(u)
+        return (yield from self._spmv())
 
-    def _scatter(self, buf, entry, vals) -> None:
+    def _scatter(self, entry, pos, vals) -> None:
         vals = np.asarray(vals)
-        expected = entry["recv_ids"].size
+        expected = pos.size
         if vals.shape != (expected,):
             raise ValueError(
                 f"halo {entry['kind']} mismatch: rank "
                 f"{entry['rank']} sent {vals.shape} to rank "
                 f"{self.comm.rank}, expected ({expected},)"
             )
-        buf[entry["recv_ids"]] = vals
+        np.put(self.pad, pos, vals)
 
     def exchange(self, v_local):
-        """Halo exchange: local block -> full-length scatter buffer.
+        """Halo exchange: neighbours' faces, edges and corners -> the pad.
 
         Received payloads are shape-checked against the plan so a
         corrupted or misrouted halo message is named by both ranks and
@@ -235,17 +273,16 @@ class SubcubeOperator:
         stop-and-wait sends would deadlock waiting for each other's acks.
         """
         rank, ep = self.comm.rank, self.comm.ep
-        buf = np.zeros(self.n)
-        buf[self.rows] = v_local
         if ep is None:
             for entry, lpos in zip(self.plan, self.send_lpos):
                 yield Send(dest=entry["rank"], payload=v_local[lpos],
                            tag=_HALO_TAG)
-            for entry in self.plan:
+            for entry, pos in zip(self.plan, self.recv_pos):
                 vals = yield Recv(source=entry["rank"], tag=_HALO_TAG)
-                self._scatter(buf, entry, vals)
-            return buf
-        for entry, lpos in zip(self.plan, self.send_lpos):
+                self._scatter(entry, pos, vals)
+            return
+        for entry, lpos, pos in zip(self.plan, self.send_lpos,
+                                    self.recv_pos):
             nb, kind = entry["rank"], entry["kind"]
             try:
                 if rank < nb:
@@ -260,8 +297,7 @@ class SubcubeOperator:
                     f"rank {nb} failed: {exc}",
                     rank=nb,
                 ) from exc
-            self._scatter(buf, entry, vals)
-        return buf
+            self._scatter(entry, pos, vals)
 
     def checksum_terms(self, w, u):
         # no rank holds the full operand, so the expected value is reduced
@@ -314,6 +350,9 @@ class HPCGRankProgram(RankProgramBase):
     ----------
     matrix, b:
         The :func:`stencil27` system (CSR-convertible) and right-hand side.
+        Any coefficients will do, as long as every row couples only to its
+        27-point neighbourhood, at most once per neighbour: each rank
+        raises ``ValueError`` naming the first row and column that do not.
     shape:
         Grid dimensions ``(nx, ny, nz)`` with ``nx*ny*nz`` matrix rows.
     precond:

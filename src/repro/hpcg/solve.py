@@ -26,6 +26,7 @@ from ..core.result import ConvergenceHistory, SolveResult
 from ..core.stopping import StoppingCriterion
 from ..hpf.distribution import Grid3DBlock
 from ..machine.faults import FaultPlan
+from ..sparse.convert import as_matrix
 from ..sparse.generators import rhs_for_solution, stencil27
 from .program import HPCGRankProgram, ResilientHPCGProgram
 
@@ -120,7 +121,12 @@ def hpcg_solve(
         Right-hand side; defaults to the RHS whose exact solution is all
         ones (the HPCG convention, via :func:`rhs_for_solution`).
     matrix:
-        Operator override for testing; defaults to ``stencil27(*shape)``.
+        Operator override for testing (anything
+        :func:`~repro.sparse.convert.as_matrix` accepts, converted to CSR
+        once); defaults to ``stencil27(*shape)``.  Every row must couple
+        only to its 27-point neighbourhood, at most once per neighbour;
+        otherwise the ranks raise ``ValueError`` naming the row and
+        column.
     grid:
         Process-grid override ``(px, py, pz)``; defaults to the most
         cubic factorisation of ``nprocs``.
@@ -162,8 +168,8 @@ def _hpcg_solve(shape, backend, nprocs, options, *, matrix, b, faults,
         shape = (int(shape),) * 3
     nx, ny, nz = (int(s) for s in shape)
     shape = (nx, ny, nz)
-    if matrix is None:
-        matrix = stencil27(nx, ny, nz)
+    matrix = (stencil27(nx, ny, nz) if matrix is None
+              else as_matrix(matrix).to_csr())
     if b is None:
         b = rhs_for_solution(matrix, np.ones(matrix.nrows))
 

@@ -1,4 +1,4 @@
-"""The local sparse kernel: a compressed block times a vector, written once.
+"""The local sparse kernels: a compressed block, or a stencil box, times a vector.
 
 Every storage scheme and every distribution in this repository ends in the
 same rank-local loop -- "sum the entries of a compressed row" (CSR rows,
@@ -16,6 +16,12 @@ paths agree bitwise.  Indices within a line need not be sorted and may
 repeat.  A replacement body must keep this order (no FMA contraction, no
 pairwise or blocked row sums); ``tests/test_local_kernel.py`` checks it
 against the explicit loop.
+
+:class:`StencilBlock` is the second kernel: a 27-point operator on one box
+of a 3-D grid, held as coefficient planes and applied as shifted sweeps
+over a padded operand (DESIGN.md, "Local kernel").  Its order is ascending
+neighbour offset ``(dz, dy, dx)`` from zero, which on a row stored in
+ascending column order is :class:`CompressedBlock`'s order exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CompressedBlock"]
+__all__ = ["CompressedBlock", "StencilBlock"]
 
 
 class CompressedBlock:
@@ -66,3 +72,106 @@ class CompressedBlock:
         y = np.zeros(n, dtype=np.result_type(self.data.dtype, x.dtype))
         np.add.at(y, self.indices, self.data * x[self.major])
         return y
+
+
+#: rows per slab while :class:`StencilBlock` cuts a CSR into planes; it
+#: bounds the build's transient per-entry arrays, not the result
+_PLANE_CHUNK_ROWS = 4096
+
+
+class StencilBlock:
+    """A 27-point operator on one box of an ``nx x ny x nz`` grid.
+
+    Built once from the box's rows of a CSR trio (``(iz*ny + iy)*nx + ix``
+    numbering, ``x`` fastest) as a ``(27, lz, ly, lx)`` array: plane
+    ``k = 9*(dz+1) + 3*(dy+1) + (dx+1)`` holds each row's coefficient for
+    neighbour ``(dz, dy, dx)``, or 0 where the row stores none.  The planes
+    are a copy (216 bytes per point), not views, so a handle does not see
+    later in-place updates of ``data``.  An entry outside a row's
+    27-neighbourhood, or two entries at one offset, raises ``ValueError``
+    naming the row and column: nothing is ever dropped.
+
+    ``matvec(pad)`` takes the operand on the box grown by one cell per face,
+    ``(lz+2, ly+2, lx+2)``, with zeros wherever the grown box leaves the
+    grid, and sums ``planes[k] * pad[shifted by k]`` for ``k = 0 .. 26``
+    from zero.  A missing neighbour adds ``c * 0 = ±0.0`` to a partial sum
+    that starts at ``+0.0`` and so is never ``-0.0``: for finite operands
+    this is bitwise :class:`CompressedBlock` on rows stored in ascending
+    column order, which stencil rows are.
+    """
+
+    def __init__(self, indptr, indices, data, shape, box):
+        nx, ny, nz = (int(s) for s in shape)
+        (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
+        self.shape = (zhi - zlo, yhi - ylo, xhi - xlo)
+        self.planes = np.zeros((27,) + self.shape)
+        self._scratch = np.empty(self.shape)
+        lz, ly, lx = self.shape
+        #: the operand view each plane multiplies, in plane order
+        self._views = [
+            (slice(1 + dz, 1 + dz + lz), slice(1 + dy, 1 + dy + ly),
+             slice(1 + dx, 1 + dx + lx))
+            for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+        ]
+        n = nx * ny * nz
+        # per-entry coordinate arithmetic in int32 wherever the grid fits
+        it = np.dtype(np.int32 if n < 2 ** 31 else np.int64)
+        flat = self.planes.reshape(27, -1)
+        layer = ly * lx
+        step = max(1, _PLANE_CHUNK_ROWS // max(layer, 1))
+        nnz = 0
+        for z0 in range(zlo, zhi, step):
+            z1 = min(z0 + step, zhi)
+            gz, gy, gx = (g.ravel() for g in np.meshgrid(
+                np.arange(z0, z1, dtype=it), np.arange(ylo, yhi, dtype=it),
+                np.arange(xlo, xhi, dtype=it), indexing="ij"))
+            rows = (gz.astype(np.int64) * ny + gy) * nx + gx
+            counts = indptr[rows + 1] - indptr[rows]
+            ends = np.cumsum(counts)
+            total = int(ends[-1]) if ends.size else 0
+            nnz += total
+            offs = (np.repeat(indptr[rows] - (ends - counts), counts)
+                    + np.arange(total))
+            cols = indices[offs]
+            bad = (cols < 0) | (cols >= n)
+            # neighbour offset + 1 per axis, from grid coordinates (column
+            # minus row aliases once nx or ny <= 2); valid in {0, 1, 2}
+            c = cols.astype(it)
+            dz = c // (nx * ny)
+            c -= dz * (nx * ny)
+            dy = c // nx
+            c -= dy * nx
+            dz -= np.repeat(gz - 1, counts)
+            dy -= np.repeat(gy - 1, counts)
+            c -= np.repeat(gx - 1, counts)
+            for d in (dz, dy, c):
+                bad |= d.view(f"u{it.itemsize}") > 2
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    f"row {int(rows[np.searchsorted(ends, k, 'right')])} has "
+                    f"an entry in column {int(cols[k])}, outside its "
+                    f"27-point neighbourhood on the {nx}x{ny}x{nz} grid")
+            slot = dz * 9 + dy * 3 + c
+            slot += np.repeat(np.arange(0, 27 * rows.size, 27, dtype=it),
+                              counts)
+            seen = np.bincount(slot, minlength=27 * rows.size)
+            if seen.max(initial=0) > 1:
+                k = int(np.argmax(seen[slot] > 1))
+                raise ValueError(
+                    f"row {int(rows[np.searchsorted(ends, k, 'right')])} "
+                    f"stores column {int(cols[k])} more than once")
+            buf = np.zeros(27 * rows.size)
+            buf[slot] = data[offs]
+            lo = (z0 - zlo) * layer
+            flat[:, lo:lo + rows.size] = buf.reshape(-1, 27).T
+        self.nnz = nnz
+
+    def matvec(self, pad: np.ndarray) -> np.ndarray:
+        """``y = sum_k planes[k] * pad[view k]`` in plane order, flattened."""
+        y = np.zeros(self.shape)
+        scratch = self._scratch
+        for plane, view in zip(self.planes, self._views):
+            np.multiply(plane, pad[view], out=scratch)
+            np.add(y, scratch, out=y)
+        return y.reshape(-1)

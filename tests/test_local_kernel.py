@@ -1,11 +1,13 @@
-"""The local sparse kernel's contract, by name.
+"""The local sparse kernels' contracts, by name.
 
 ``repro.sparse.kernels.CompressedBlock`` is the one place a compressed
 block meets a vector.  Its contract is a summation order -- each major line
 summed left to right in storage order from zero (``matvec``), products
 scattered in storage order into zeros (``rmatvec``) -- so the oracle here is
 the explicit Python loop that *is* that definition, compared bitwise.  The
-scipy case at the end is the net a later kernel-body swap lands on.
+scipy case is the net a later kernel-body swap lands on.
+``StencilBlock`` (the subcube operator's kernel) is held to its own loop --
+ascending neighbour offset from zero -- and to ``CompressedBlock`` itself.
 """
 
 import os
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.sparse import CSCMatrix, CSRMatrix, nas_cg_style, stencil27
-from repro.sparse.kernels import CompressedBlock
+from repro.sparse.kernels import CompressedBlock, StencilBlock
 
 
 # ------------------------------------------------------------------ #
@@ -103,7 +105,7 @@ def test_unsorted_and_duplicate_indices_within_a_row():
 
 
 def test_already_sliced_local_indptr():
-    # the subcube operator's spelling: gathered rows with their own pointer
+    # gathered rows with their own pointer
     A = MATRICES["stencil27"]()
     rows = np.array([3, 17, 4, 59])
     counts = A.indptr[rows + 1] - A.indptr[rows]
@@ -211,3 +213,198 @@ def test_row_block_solve_never_imports_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ------------------------------------------------------------------ #
+# the stencil kernel: 27 coefficient planes over a padded box
+# ------------------------------------------------------------------ #
+def _offset(shape, row, col):
+    """``(dz, dy, dx)`` from grid coordinates: ``col - row`` aliases once
+    ``nx`` or ``ny`` is 2 or less."""
+    nx, ny, _ = shape
+    (rz, ry, rx), (cz, cy, cx) = (
+        (i // (nx * ny), i // nx % ny, i % nx) for i in (row, col))
+    return cz - rz, cy - ry, cx - rx
+
+
+def loop_stencil(A, shape, box, x):
+    """Each box row summed from zero over the 27 offsets in ascending
+    ``(dz, dy, dx)``; an absent entry or an off-grid neighbour adds ``c * 0``."""
+    nx, ny, nz = shape
+    (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
+    y = []
+    for iz in range(zlo, zhi):
+        for iy in range(ylo, yhi):
+            for ix in range(xlo, xhi):
+                row = (iz * ny + iy) * nx + ix
+                coef = {}
+                for k in range(A.indptr[row], A.indptr[row + 1]):
+                    coef[_offset(shape, row, A.indices[k])] = A.data[k]
+                acc = 0.0
+                for dz in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        for dx in (-1, 0, 1):
+                            jz, jy, jx = iz + dz, iy + dy, ix + dx
+                            inside = (0 <= jz < nz and 0 <= jy < ny
+                                      and 0 <= jx < nx)
+                            v = x[(jz * ny + jy) * nx + jx] if inside else 0.0
+                            acc = acc + coef.get((dz, dy, dx), 0.0) * v
+                y.append(acc)
+    return np.array(y)
+
+
+def padded(x, shape, box):
+    """The box grown by one cell per face, zero off the grid."""
+    nx, ny, nz = shape
+    (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
+    pad = np.zeros((zhi - zlo + 2, yhi - ylo + 2, xhi - xlo + 2))
+    grid = x.reshape(nz, ny, nx)
+    for iz in range(max(zlo - 1, 0), min(zhi + 1, nz)):
+        for iy in range(max(ylo - 1, 0), min(yhi + 1, ny)):
+            for ix in range(max(xlo - 1, 0), min(xhi + 1, nx)):
+                pad[iz - zlo + 1, iy - ylo + 1, ix - xlo + 1] = grid[iz, iy, ix]
+    return pad
+
+
+def random_stencil(shape, seed, keep=1.0):
+    """stencil27's pattern with wide-range random coefficients; ``keep < 1``
+    drops entries at random (absent neighbours inside the grid)."""
+    A = stencil27(*shape)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-6, 7, A.nnz)
+    mask = rng.random(A.nnz) < keep
+    rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))[mask]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                        minlength=A.nrows))))
+    return CSRMatrix(indptr, A.indices[mask], data[mask], shape=A.shape)
+
+
+def _faces_touched(shape, box):
+    return sum((lo == 0) + (hi == dim) for (lo, hi), dim in zip(box, shape))
+
+
+#: (grid shape, box): every count of touched global faces from 0 to 6, and
+#: grids with an axis of 1 or 2
+STENCIL_BOXES = [
+    ((5, 4, 3), ((1, 4), (1, 3), (1, 2))),
+    ((5, 4, 3), ((0, 4), (1, 3), (1, 2))),
+    ((5, 4, 3), ((0, 5), (1, 3), (1, 2))),
+    ((5, 4, 3), ((0, 5), (0, 3), (1, 2))),
+    ((5, 4, 3), ((0, 5), (0, 4), (1, 2))),
+    ((5, 4, 3), ((0, 5), (0, 4), (0, 2))),
+    ((5, 4, 3), ((0, 5), (0, 4), (0, 3))),
+    ((5, 4, 3), ((2, 3), (1, 2), (1, 2))),
+    ((1, 2, 5), ((0, 1), (0, 2), (1, 4))),
+    ((2, 1, 2), ((0, 2), (0, 1), (0, 2))),
+    ((2, 2, 2), ((1, 2), (0, 1), (1, 2))),
+    ((2, 5, 1), ((0, 2), (1, 4), (0, 1))),
+    ((4, 2, 3), ((1, 3), (0, 2), (1, 2))),
+]
+
+
+def test_stencil_boxes_touch_every_face_count():
+    touched = {_faces_touched(shape, box) for shape, box in STENCIL_BOXES}
+    assert touched == set(range(7))
+
+
+@pytest.mark.parametrize("shape,box", STENCIL_BOXES)
+@pytest.mark.parametrize("keep", [1.0, 0.6])
+def test_stencil_block_is_bitwise_the_loop_and_compressed_block(
+        shape, box, keep):
+    nx, ny, nz = shape
+    A = random_stencil(shape, seed=sum(shape) + int(10 * keep), keep=keep)
+    x = _vector(A.ncols, seed=3)
+    block = StencilBlock(A.indptr, A.indices, A.data, shape, box)
+    got = block.matvec(padded(x, shape, box))
+    assert got.tobytes() == loop_stencil(A, shape, box, x).tobytes()
+    (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
+    rows = np.arange(A.nrows).reshape(nz, ny, nx)[
+        zlo:zhi, ylo:yhi, xlo:xhi].ravel()
+    counts = np.diff(A.indptr)[rows]
+    pick = np.concatenate(
+        [np.arange(A.indptr[r], A.indptr[r + 1]) for r in rows])
+    crs = CompressedBlock(np.concatenate(([0], np.cumsum(counts))),
+                          A.indices[pick], A.data[pick])
+    assert got.tobytes() == crs.matvec(x).tobytes()
+    assert block.nnz == crs.nnz
+
+
+def test_stencil_block_is_bitwise_the_matrix_at_benchmark_shape():
+    A = random_stencil((12, 10, 8), seed=7)
+    x = _vector(A.ncols, seed=8)
+    full = ((0, 12), (0, 10), (0, 8))
+    want = A.matvec(x)
+    for box in (full, ((0, 12), (0, 10), (4, 8)), ((3, 9), (2, 7), (1, 5))):
+        block = StencilBlock(A.indptr, A.indices, A.data, (12, 10, 8), box)
+        (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
+        rows = np.arange(A.nrows).reshape(8, 10, 12)[
+            zlo:zhi, ylo:yhi, xlo:xhi].ravel()
+        got = block.matvec(padded(x, (12, 10, 8), box))
+        assert got.tobytes() == want[rows].tobytes()
+
+
+def test_stencil_block_sums_signed_zeros_from_plus_zero():
+    """All products ``-0.0`` (negative coefficients times zeros) sum to
+    ``+0.0``, as the loop and ``CompressedBlock`` do."""
+    shape, box = (4, 3, 3), ((1, 3), (0, 2), (1, 2))
+    A = random_stencil(shape, seed=2)
+    A.data[:] = -np.abs(A.data)
+    x = np.zeros(A.ncols)
+    got = StencilBlock(A.indptr, A.indices, A.data, shape, box).matvec(
+        padded(x, shape, box))
+    assert got.tobytes() == loop_stencil(A, shape, box, x).tobytes()
+    assert not np.signbit(got).any()
+
+
+def test_stencil_block_holds_a_copy_and_returns_a_fresh_vector():
+    A = stencil27(4, 3, 2)
+    box = ((0, 4), (0, 3), (0, 2))
+    block = StencilBlock(A.indptr, A.indices, A.data, (4, 3, 2), box)
+    assert block.planes.shape == (27, 2, 3, 4)
+    assert not np.shares_memory(block.planes, A.data)
+    pad = padded(np.ones(A.nrows), (4, 3, 2), box)
+    first = block.matvec(pad)
+    second = block.matvec(pad)
+    assert first is not second and first.tobytes() == second.tobytes()
+    A.data *= 2.0
+    assert block.matvec(pad).tobytes() == first.tobytes()
+
+
+def test_empty_box():
+    A = stencil27(3)
+    block = StencilBlock(A.indptr, A.indices, A.data, (3, 3, 3),
+                         ((3, 3), (0, 3), (0, 3)))
+    assert block.nnz == 0
+    assert block.matvec(np.zeros((5, 5, 2))).shape == (0,)
+
+
+def with_extra_entry(A, row, col, value=-0.5):
+    """``A``'s CSR trio plus one entry ``(row, col)`` at the end of its row;
+    ``col`` may lie off the matrix."""
+    at = A.indptr[row + 1]
+    indptr = A.indptr.copy()
+    indptr[row + 1:] += 1
+    return (indptr, np.insert(A.indices, at, col),
+            np.insert(A.data, at, value))
+
+
+@pytest.mark.parametrize("shape,row,col", [
+    ((5, 4, 3), 0, 50),      # far away
+    ((5, 4, 3), 4, 5),       # col = row + 1 wraps to the next grid line
+    ((3, 2, 3), 5, 6),       # col - row = 1, yet the offset is (1, -1, -2)
+    ((5, 4, 3), 59, 79),     # one layer past the grid: an off-grid (1, 0, 0)
+])
+def test_stencil_block_rejects_an_entry_outside_the_neighbourhood(
+        shape, row, col):
+    trio = with_extra_entry(stencil27(*shape), row, col)
+    nx, ny, nz = shape
+    with pytest.raises(ValueError, match=rf"row {row} .*column {col}\b"):
+        StencilBlock(*trio, shape, ((0, nx), (0, ny), (0, nz)))
+
+
+def test_stencil_block_rejects_two_entries_at_one_offset():
+    trio = with_extra_entry(stencil27(5, 4, 3), 7, 8)
+    with pytest.raises(ValueError, match=r"row 7 stores column 8 "):
+        StencilBlock(*trio, (5, 4, 3), ((0, 5), (0, 4), (0, 3)))
+    # a box without row 7 never reads it
+    StencilBlock(*trio, (5, 4, 3), ((0, 5), (0, 4), (1, 3)))

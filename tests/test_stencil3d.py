@@ -174,3 +174,146 @@ class TestHaloMatvec:
         assert np.allclose(res.x, xstar, atol=1e-6)
         halo = res.extras["hpcg"]["halo"]
         assert halo["neighbors"] >= 1
+
+
+def _held_arrays(obj, out):
+    """Bytes of every array ``obj`` reaches, counted once per buffer."""
+    if isinstance(obj, np.ndarray):
+        root = obj
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        out[id(root)] = root.nbytes
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _held_arrays(item, out)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _held_arrays(item, out)
+    return out
+
+
+def _drive(gen, recv_payload):
+    """Run one operator generator by hand: sends vanish, each ``Recv``
+    is answered with ``recv_payload(source)``."""
+    from repro.machine.events import Recv
+
+    value = None
+    try:
+        while True:
+            event = gen.send(value)
+            value = (recv_payload(event.source)
+                     if isinstance(event, Recv) else None)
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestSubcubeOperator:
+    """The operator holds O(n/p): planes, one pad, halo maps (16^3, p=8)."""
+
+    SHAPE = (16, 16, 16)
+
+    def _ops(self, nprocs):
+        from repro.backend.kernel import Collectives
+        from repro.hpcg.program import HPCGRankProgram, SubcubeOperator
+
+        a = stencil27(*self.SHAPE)
+        program = HPCGRankProgram(a, np.ones(a.nrows), self.SHAPE,
+                                  precond="jacobi")
+        layout = Grid3DBlock(self.SHAPE, nprocs)
+        return a, [SubcubeOperator(program, layout, r, Collectives(r, nprocs))
+                   for r in range(nprocs)]
+
+    @staticmethod
+    def _held(op):
+        shared = ("comm", "layout", "block")
+        out = _held_arrays(
+            [v for k, v in vars(op).items() if k not in shared], {})
+        return sum(_held_arrays(vars(op.block), out).values())
+
+    def test_held_arrays_scale_with_the_subcube(self):
+        _, (whole,) = self._ops(1)
+        _, ops = self._ops(8)
+        for op in ops:
+            maps = sum(_held_arrays(
+                [op.plan, op.send_lpos, op.recv_pos], {}).values())
+            volume = self._held(op) - op.pad.nbytes - maps
+            assert volume <= self._held(whole) / 8
+            # the pad and the halo maps are the subcube's shell
+            assert maps <= 4 * op.pad.nbytes
+
+    def test_halo_apply_allocates_no_n_long_array(self):
+        import tracemalloc
+
+        a, ops = self._ops(8)
+        x = np.random.default_rng(5).standard_normal(a.nrows)
+        want = a.matvec(x)
+        for op in ops:
+            halos = {e["rank"]: x[e["recv_ids"]] for e in op.plan}
+            u = x[op.rows]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                got = _drive(op.apply(u), halos.__getitem__)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * a.nrows
+            assert got.tobytes() == want[op.rows].tobytes()
+
+    def test_every_operand_path_is_the_serial_product(self):
+        """Halo, replicated, allgathered and one-rank operands all fill the
+        pad so that the product is bitwise ``A x`` on the subcube."""
+        a, ops = self._ops(8)
+        x = np.random.default_rng(6).standard_normal(a.nrows)
+        want = a.matvec(x)
+        for op in ops:
+            op.replicated = x
+            assert _drive(op.apply(None), None).tobytes() \
+                == want[op.rows].tobytes()
+            assert op.replicated is None
+            blocks = [x[o.rows] for o in ops]
+
+            def allgather(v, tag):
+                return blocks
+                yield  # pragma: no cover - a generator with no events
+
+            op.comm.allgather = allgather
+            gathered = _drive(op.apply_gathered(x[op.rows]), None)
+            assert gathered.tobytes() == want[op.rows].tobytes()
+        _, (whole,) = self._ops(1)
+        assert _drive(whole.apply(x), None).tobytes() == want.tobytes()
+
+
+class TestMatrixOverride:
+    """``hpcg_solve(matrix=…)`` takes every form ``as_matrix`` does."""
+
+    @pytest.mark.parametrize("precond", ["jacobi", "mg"])
+    def test_scipy_dense_and_repro_forms_agree_bitwise(self, precond):
+        from scipy.sparse import csr_matrix
+
+        from repro.hpcg import hpcg_solve
+
+        a = stencil27(6, 5, 4)
+        forms = [a, csr_matrix((a.data, a.indices, a.indptr), shape=a.shape),
+                 a.toarray()]
+        xs = [hpcg_solve((6, 5, 4), nprocs=2, precond=precond,
+                         matrix=m).x for m in forms]
+        assert xs[0].tobytes() == xs[1].tobytes() == xs[2].tobytes()
+
+    @pytest.mark.parametrize("row,col,message", [
+        (0, 50, r"row 0 has an entry in column 50\b"),
+        (7, 8, r"row 7 stores column 8 more than once"),
+    ])
+    def test_an_entry_the_planes_cannot_hold_is_named(self, row, col,
+                                                      message):
+        from repro.hpcg import hpcg_solve
+        from repro.sparse import CSRMatrix
+
+        from .test_local_kernel import with_extra_entry
+
+        a = stencil27(6, 5, 4)
+        bad = CSRMatrix(*with_extra_entry(a, row, col), shape=a.shape)
+        with pytest.raises(ValueError, match=message):
+            hpcg_solve((6, 5, 4), nprocs=2, precond="jacobi", matrix=bad,
+                       b=np.ones(a.nrows))
