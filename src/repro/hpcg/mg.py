@@ -13,18 +13,23 @@ One V-cycle per apply, matching the HPCG reference structure:
   :class:`~repro.core.preconditioners.SSORPreconditioner`, reused per
   level, whose triangular operands are prepared once at construction;
 * **transfer**: injection restriction (coarse point ``(i,j,k)`` reads fine
-  point ``(2i,2j,2k)``) and its transpose as prolongation, the HPCG pair;
+  point ``(2i,2j,2k)``) and its transpose as prolongation, the HPCG pair,
+  both the strided view ``[::2, ::2, ::2]`` of the level's grid;
 * **coarsest level**: a single SymGS sweep.
 
-An apply is therefore only arithmetic: per level, SuperLU forward and
-backward substitutions on the prepared operands (two per smooth) and the
-CSR residual products (two per non-coarsest level).  At 32^3 on a 2-core
-Xeon the residual products are about two thirds of it and the
-substitutions one third; a V-cycle costs about four fine-grid SpMVs.
+Each level cuts its CSR once, at construction, into the 27 coefficient
+planes of a whole-grid :class:`~repro.sparse.kernels.StencilBlock` and
+then keeps only the planes and the smoother.  An apply is therefore only
+arithmetic: per level, SuperLU forward and backward substitutions on the
+prepared operands (two per smooth) and the residual products (two per
+non-coarsest level), each the planes over a fresh zero-ringed pad.  At
+32^3 on a 2-core Xeon one apply takes 9-11 ms, about 6 ms of it the
+substitutions.
 
-The apply is deterministic (triangular solves + CSR mat-vecs in fixed
-order), which is what lets the distributed HPCG program replicate it on
-every rank and stay bitwise invariant to the rank count.  As a
+The apply is deterministic (triangular solves + plane sweeps in fixed
+order, bitwise the CSR products on stencil rows), which is what lets the
+distributed HPCG program replicate it on every rank and stay bitwise
+invariant to the rank count.  As a
 :class:`~repro.core.preconditioners.Preconditioner` with
 ``parallel = False`` it also plugs directly into
 :func:`repro.core.pcg.hpf_pcg`, which charges ``flops_per_apply`` as
@@ -33,38 +38,42 @@ serialised work -- the same cost treatment SSOR gets.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..core.preconditioners import Preconditioner, SSORPreconditioner
 from ..sparse.convert import as_matrix
 from ..sparse.generators import stencil27
+from ..sparse.kernels import StencilBlock
 
 __all__ = ["MultigridPreconditioner"]
 
 
 class _Level:
-    """One grid level: operator, SymGS smoother, injection map to coarse."""
+    """One grid level: its operator as stencil planes, its SymGS smoother."""
 
-    __slots__ = ("matrix", "shape", "smoother", "inject")
+    __slots__ = ("shape", "op", "smoother")
 
     def __init__(self, matrix, shape: Tuple[int, int, int]):
-        self.matrix = matrix
+        nx, ny, nz = shape
         self.shape = shape
+        # the planes first: an entry they cannot hold fails before SSOR
+        self.op = StencilBlock(matrix.indptr, matrix.indices, matrix.data,
+                               shape, ((0, nx), (0, ny), (0, nz)))
         self.smoother = SSORPreconditioner(matrix, omega=1.0)
-        self.inject: Optional[np.ndarray] = None  # fine ids of coarse points
 
+    def grid(self, v: np.ndarray) -> np.ndarray:
+        """``v`` viewed as the level's ``(nz, ny, nx)`` grid."""
+        nx, ny, nz = self.shape
+        return v.reshape(nz, ny, nx)
 
-def _injection_ids(fine: Tuple[int, int, int],
-                   coarse: Tuple[int, int, int]) -> np.ndarray:
-    """Fine-grid global ids of the coarse points (coarse row-major order)."""
-    nx, ny, _ = fine
-    cnx, cny, cnz = coarse
-    cz, cy, cx = np.meshgrid(
-        np.arange(cnz), np.arange(cny), np.arange(cnx), indexing="ij"
-    )
-    return (((2 * cz) * ny + 2 * cy) * nx + 2 * cx).ravel()
+    def residual(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``r - A x``, the planes over ``x`` in a fresh zero-ringed pad."""
+        nx, ny, nz = self.shape
+        pad = np.zeros((nz + 2, ny + 2, nx + 2))
+        pad[1:-1, 1:-1, 1:-1] = self.grid(x)
+        return r - self.op.matvec(pad)
 
 
 class MultigridPreconditioner(Preconditioner):
@@ -75,8 +84,11 @@ class MultigridPreconditioner(Preconditioner):
     matrix:
         The fine-grid operator: a repro matrix, a ``scipy.sparse`` matrix
         or a dense ndarray (held as CSR, so every form gives the same
-        apply bit for bit).  Must have ``nx * ny * nz`` rows; the
-        hierarchy below it is re-discretised with :func:`stencil27`.
+        apply bit for bit).  Must have ``nx * ny * nz`` rows, each coupled
+        only to its 27-point neighbourhood, at most once per neighbour;
+        otherwise construction raises ``ValueError`` naming the row and
+        column.  The hierarchy below it is re-discretised with
+        :func:`stencil27`.
     shape:
         Fine grid dimensions ``(nx, ny, nz)``.
     max_levels:
@@ -104,9 +116,6 @@ class MultigridPreconditioner(Preconditioner):
             if fx % 2 or fy % 2 or fz % 2 or min(fx, fy, fz) < 4:
                 break
             cshape = (fx // 2, fy // 2, fz // 2)
-            self.levels[-1].inject = _injection_ids(
-                self.levels[-1].shape, cshape
-            )
             self.levels.append(_Level(stencil27(*cshape), cshape))
         self._flops = self._count_flops()
 
@@ -117,15 +126,16 @@ class MultigridPreconditioner(Preconditioner):
     def _count_flops(self) -> float:
         total = 0.0
         for i, level in enumerate(self.levels):
-            n = level.matrix.nrows
+            n = float(np.prod(level.shape))
             smooth = level.smoother.flops_per_apply  # 2*nnz + n
-            residual = 2.0 * level.matrix.nnz + n
+            residual = 2.0 * level.op.nnz + n
             if i == len(self.levels) - 1:
                 total += smooth  # coarsest: one SymGS from zero
             else:
-                # pre-smooth, two residuals, post-smooth, correction adds
+                # pre-smooth, two residuals, post-smooth, correction adds,
+                # one read per coarse point
                 total += 2.0 * smooth + 2.0 * residual + 2.0 * n
-                total += float(level.inject.size)
+                total += float(np.prod(self.levels[i + 1].shape))
         return total
 
     # ------------------------------------------------------------------ #
@@ -134,10 +144,12 @@ class MultigridPreconditioner(Preconditioner):
         if lvl == len(self.levels) - 1:
             return level.smoother.solve(r)  # SymGS sweep from zero guess
         x = level.smoother.solve(r)  # pre-smooth (zero initial guess)
-        res = r - level.matrix.matvec(x)
-        xc = self._vcycle(lvl + 1, res[level.inject])  # injection restrict
-        x[level.inject] += xc  # transpose-injection prolong
-        res = r - level.matrix.matvec(x)
+        res = level.residual(r, x)
+        # injection restriction, then its transpose added into x in place
+        coarse = level.grid(x)[::2, ::2, ::2]
+        xc = self._vcycle(lvl + 1, level.grid(res)[::2, ::2, ::2].ravel())
+        coarse += xc.reshape(coarse.shape)
+        res = level.residual(r, x)
         x += level.smoother.solve(res)  # post-smooth
         return x
 

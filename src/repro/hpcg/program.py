@@ -351,8 +351,9 @@ class HPCGRankProgram(RankProgramBase):
     matrix, b:
         The :func:`stencil27` system (CSR-convertible) and right-hand side.
         Any coefficients will do, as long as every row couples only to its
-        27-point neighbourhood, at most once per neighbour: each rank
-        raises ``ValueError`` naming the first row and column that do not.
+        27-point neighbourhood, at most once per neighbour: ``ValueError``
+        names the first row and column that do not, raised by the
+        constructor with ``precond="mg"`` and by each rank otherwise.
     shape:
         Grid dimensions ``(nx, ny, nz)`` with ``nx*ny*nz`` matrix rows.
     precond:

@@ -125,8 +125,9 @@ def hpcg_solve(
         :func:`~repro.sparse.convert.as_matrix` accepts, converted to CSR
         once); defaults to ``stencil27(*shape)``.  Every row must couple
         only to its 27-point neighbourhood, at most once per neighbour;
-        otherwise the ranks raise ``ValueError`` naming the row and
-        column.
+        otherwise ``ValueError`` names the row and column -- raised
+        here, while building the multigrid, with ``precond="mg"``, and
+        by the ranks otherwise.
     grid:
         Process-grid override ``(px, py, pz)``; defaults to the most
         cubic factorisation of ``nprocs``.

@@ -98,6 +98,9 @@ class StencilBlock:
     that starts at ``+0.0`` and so is never ``-0.0``: for finite operands
     this is bitwise :class:`CompressedBlock` on rows stored in ascending
     column order, which stencil rows are.
+
+    The held scratch never rides a pickle: an unpickled handle, whose
+    planes may be read-only views, allocates its own.
     """
 
     def __init__(self, indptr, indices, data, shape, box):
@@ -166,6 +169,15 @@ class StencilBlock:
             lo = (z0 - zlo) * layer
             flat[:, lo:lo + rows.size] = buf.reshape(-1, 27).T
         self.nnz = nnz
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_scratch"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._scratch = np.empty(self.shape)
 
     def matvec(self, pad: np.ndarray) -> np.ndarray:
         """``y = sum_k planes[k] * pad[view k]`` in plane order, flattened."""

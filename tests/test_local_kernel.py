@@ -11,6 +11,7 @@ ascending neighbour offset from zero -- and to ``CompressedBlock`` itself.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -408,3 +409,23 @@ def test_stencil_block_rejects_two_entries_at_one_offset():
         StencilBlock(*trio, (5, 4, 3), ((0, 5), (0, 4), (0, 3)))
     # a box without row 7 never reads it
     StencilBlock(*trio, (5, 4, 3), ((0, 5), (0, 4), (1, 3)))
+
+
+def rebuild_read_only(obj):
+    """``obj`` through protocol 5, rebuilt over read-only copies of every
+    out-of-band buffer, as a warm-pool rank rebuilds a dispatched program."""
+    buffers = []
+    data = pickle.dumps(obj, 5, buffer_callback=buffers.append)
+    return pickle.loads(data, buffers=[bytes(b.raw()) for b in buffers])
+
+
+def test_stencil_block_rebuilt_over_read_only_buffers_applies_bitwise():
+    shape = (12, 10, 8)
+    A = random_stencil(shape, seed=4)
+    box = ((0, 12), (0, 10), (2, 8))
+    block = StencilBlock(A.indptr, A.indices, A.data, shape, box)
+    clone = rebuild_read_only(block)
+    assert not clone.planes.flags.writeable
+    for seed in (1, 2):
+        pad = padded(_vector(A.ncols, seed), shape, box)
+        assert clone.matvec(pad).tobytes() == block.matvec(pad).tobytes()

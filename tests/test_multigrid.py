@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import SimulatedBackend
 from repro.core import (
     JacobiPreconditioner,
     StoppingCriterion,
@@ -12,7 +13,9 @@ from repro.core import (
 )
 from repro.hpcg import MultigridPreconditioner, hpcg_solve
 from repro.machine import Machine
-from repro.sparse import rhs_for_solution, stencil27
+from repro.sparse import CSRMatrix, rhs_for_solution, stencil27
+
+from .test_local_kernel import rebuild_read_only, with_extra_entry
 
 CRIT = StoppingCriterion(rtol=1e-8, maxiter=500)
 
@@ -112,3 +115,104 @@ class TestMgAcceleratesCg:
         assert res_mg.iterations < res_j.iterations
         assert res_mg.extras["hpcg"]["mg_depth"] == 3
         assert res_mg.extras["hpcg"]["mg_flops_per_apply"] > 0
+
+
+# ------------------------------------------------------------------ #
+# the V-cycle's order and transfers, against the CSR formulation
+# ------------------------------------------------------------------ #
+def injection_ids(fine, coarse):
+    """Fine-grid ids of the coarse points, in coarse row-major order."""
+    nx, ny, _ = fine
+    cnx, cny, cnz = coarse
+    cz, cy, cx = np.meshgrid(np.arange(cnz), np.arange(cny), np.arange(cnx),
+                             indexing="ij")
+    return (((2 * cz) * ny + 2 * cy) * nx + 2 * cx).ravel()
+
+
+def reference_vcycle(mg, matrices, lvl, r):
+    """The V-cycle with ``CSRMatrix.matvec`` residuals and fancy-index
+    injection, on ``mg``'s smoothers."""
+    level = mg.levels[lvl]
+    x = level.smoother.solve(r)
+    if lvl == mg.depth - 1:
+        return x
+    ids = injection_ids(level.shape, mg.levels[lvl + 1].shape)
+    res = r - matrices[lvl].matvec(x)
+    x[ids] += reference_vcycle(mg, matrices, lvl + 1, res[ids])
+    res = r - matrices[lvl].matvec(x)
+    x += level.smoother.solve(res)
+    return x
+
+
+def wide_range(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
+
+
+#: fine shape, the hierarchy below it, HPCG's ``flops_per_apply``
+HIERARCHIES = [
+    ((8, 8, 8), [(4, 4, 4), (2, 2, 2)], 96848.0),
+    ((16, 8, 12), [(8, 4, 6), (4, 2, 3)], 314592.0),  # anisotropic
+    ((6, 8, 8), [(3, 4, 4)], 65752.0),                # odd coarse dim
+]
+
+
+class TestStencilPlaneVCycle:
+    @pytest.mark.parametrize("shape,coarse,flops", HIERARCHIES)
+    def test_bitwise_the_csr_vcycle(self, shape, coarse, flops):
+        fine = stencil27(*shape)
+        mg = MultigridPreconditioner(fine, shape)
+        assert [lvl.shape for lvl in mg.levels[1:]] == coarse
+        matrices = [fine] + [stencil27(*c) for c in coarse]
+        for seed in range(3):
+            r = wide_range(fine.nrows, seed)
+            want = reference_vcycle(mg, matrices, 0, r.copy())
+            assert mg.solve(r).tobytes() == want.tobytes()
+        assert mg.flops_per_apply == flops
+
+    def test_flops_per_apply_at_benchmark_shape(self):
+        mg = MultigridPreconditioner(stencil27(32), (32, 32, 32))
+        assert mg.flops_per_apply == 7739536.0
+
+
+class TestReadOnlyRebuild:
+    """A warm-pool rank rebuilds the pickled program over read-only views."""
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 12)])
+    def test_rebuilt_over_read_only_buffers_applies_bitwise(self, shape):
+        mg = MultigridPreconditioner(stencil27(*shape), shape)
+        clone = rebuild_read_only(mg)
+        assert not clone.levels[0].op.planes.flags.writeable
+        for seed in range(2):
+            r = wide_range(int(np.prod(shape)), seed)
+            assert clone.solve(r).tobytes() == mg.solve(r).tobytes()
+
+    def test_read_only_residual_is_left_alone(self, mg, fine):
+        r = wide_range(fine.nrows, 5)
+        before = r.tobytes()
+        r.setflags(write=False)
+        want = mg.solve(r.copy())
+        assert mg.solve(r).tobytes() == want.tobytes()
+        assert r.tobytes() == before
+
+
+class TestBadMatrix:
+    """An entry the planes cannot hold fails in the driver, named."""
+
+    MESSAGE = r"row 0 has an entry in column 50\b"
+
+    @pytest.fixture
+    def bad(self, fine):
+        return CSRMatrix(*with_extra_entry(fine, 0, 50), shape=fine.shape)
+
+    def test_constructor_names_row_and_column(self, bad):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            MultigridPreconditioner(bad, (8, 8, 8))
+
+    def test_hpcg_solve_raises_before_any_rank_runs(self, bad, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("a rank ran")
+
+        monkeypatch.setattr(SimulatedBackend, "run", run)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            hpcg_solve(8, precond="mg", matrix=bad)
