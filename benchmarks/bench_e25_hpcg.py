@@ -39,8 +39,7 @@ def _phases(res):
 
 def _run(precond, reproducible=False, nprocs=NPROCS):
     return hpcg_solve(
-        SHAPE, nprocs=nprocs, precond=precond, fused=True,
-        reproducible=reproducible)
+        SHAPE, nprocs=nprocs, precond=precond, reproducible=reproducible)
 
 
 def test_e25_hpcg_phases(benchmark):
@@ -70,7 +69,7 @@ def test_e25_hpcg_phases(benchmark):
     t = Table(
         ["precond", "iters", "setup (s)", "spmv (s)", "mg (s)", "dot (s)",
          "resid"],
-        title=f"E25  HPCG phases (stencil27 {SHAPE}^3, P={NPROCS}, fused)",
+        title=f"E25  HPCG phases (stencil27 {SHAPE}^3, P={NPROCS})",
     )
     payload_runs = {}
     for label, res in runs.items():

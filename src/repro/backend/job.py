@@ -46,6 +46,9 @@ class JobSpec:
     nprocs: int = 4
     x0: Optional[np.ndarray] = None
     criterion: Optional[Any] = None
+    #: the row-block recurrence: Chronopoulos--Gear (one reduction tree
+    #: per iteration) or classic CG.  A ``stencil27`` job always runs
+    #: Chronopoulos--Gear and ignores the field.
     fused: bool = False
     faults: Optional[Any] = None
     resilience: Optional[Any] = None
@@ -91,8 +94,7 @@ def solve(
     common = dict(
         x0=spec.x0, criterion=spec.criterion, faults=spec.faults,
         resilience=spec.resilience, policy=spec.policy,
-        min_ranks=spec.min_ranks, fused=spec.fused,
-        reproducible=spec.reproducible,
+        min_ranks=spec.min_ranks, reproducible=spec.reproducible,
         store=(DurableCheckpointStore(spec.checkpoint_dir)
                if spec.checkpoint_dir else None),
     )
@@ -104,4 +106,4 @@ def solve(
             b=spec.b, matrix=spec.matrix, abft=spec.abft, **common,
         )
     return _backend_solve(spec.solver, spec.matrix, spec.b, backend,
-                          spec.nprocs, options, **common)
+                          spec.nprocs, options, fused=spec.fused, **common)

@@ -130,39 +130,32 @@ class Collectives:
         lib, who = (rel, (self.ep, rank, size)) if reliable \
             else (spmd, (rank, size))
         self.allgather = partial(lib.allgather, *who)
-        self.allreduce_sum = partial(lib.allreduce_sum, *who)
         self.allreduce_vec = partial(lib.allreduce_vec, *who)
+
+
+#: modelled per-element overhead of splat + render on a reproducible dot
+_REPRO_FLOPS = 8.0
 
 
 class Reducer:
     """Globally reduce ``(a, b, label)`` inner-product terms to floats.
 
-    A term with ``b is None`` is the plain sum of ``a``.  Hidden here:
-    ``reproducible`` terms travel as exact superaccumulator limb slots
-    (:mod:`repro.backend.reproducible`); under ``abft_op`` every slot
-    travels duplicated -- both copies see the same additions, so exact
-    equality is the corruption detector -- and ``check=(w, v)`` adds the
-    operator's mat-vec checksum terms to the same reduction; ``comm`` picks
-    plain or reliable collectives.  A call's slots share one tree on
-    ``tag``, except under ``split`` and not ``fused`` (HPCG's classic
-    schedule), where dot *i* and the checksum group ride their own trees
-    on ``tag + 2 i``; slot-wise the add order is the same either way.
-
-    ``repro_flops`` is the modelled per-element splat + render surcharge
-    of a reproducible dot.  Only HPCG passes it: row-block programs have
-    always charged ``2 n`` per dot, reproducible or not (pinned by
-    ``backend.flops`` and E23).
+    A term with ``b is None`` is the plain sum of ``a``.  One call is one
+    :func:`~repro.machine.spmd.allreduce_vec` tree on ``tag``, whatever
+    it carries; on one rank a plain call skips the empty tree.  Hidden
+    here: ``reproducible`` terms travel as exact superaccumulator limb
+    slots (:mod:`repro.backend.reproducible`) and charge :data:`_REPRO_FLOPS` per element on top of the dot's ``2 n``;
+    under ``abft_op`` every slot travels duplicated -- both copies see the
+    same additions, so exact equality is the corruption detector -- and
+    ``check=(w, v)`` adds the operator's mat-vec checksum terms to the
+    same tree; ``comm`` picks plain or reliable collectives.
     """
 
-    def __init__(self, comm: Collectives, reproducible: bool, fused: bool,
-                 split: bool = False, repro_flops: float = 0.0,
-                 abft_op=None):
+    def __init__(self, comm: Collectives, reproducible: bool, abft_op=None):
         self.comm = comm
         self.reproducible = reproducible
-        self.fused = fused
-        self.packed = fused or not split
         self.abft_op = abft_op
-        self.flops_per_element = 2.0 + (repro_flops if reproducible else 0.0)
+        self.flops_per_element = 2.0 + (_REPRO_FLOPS if reproducible else 0.0)
         #: host seconds forming local contributions (HPCG's phase_dot)
         self.seconds = 0.0
 
@@ -180,37 +173,20 @@ class Reducer:
         nel = 0
         for term in pairs:
             nel += term[0].size
-        copies = 1
         if self.abft_op is not None:
-            copies = 2
             slots = [v for v in slots for _ in (0, 1)]
         self.seconds += time.perf_counter() - t0
-        if self.packed:
-            groups = (slots,)
+        if self.reproducible:
+            red = yield from self.comm.allreduce_vec(pack_slots(slots),
+                                                     tag=tag)
+            out = [render_slots(s) for s in unpack_slots(red, len(slots))]
+        elif self.comm.size == 1:
+            out = slots  # a one-rank tree sends nothing and adds nothing
         else:
-            cut = len(pairs) * copies
-            groups = [slots[i:i + copies] for i in range(0, cut, copies)]
-            if len(slots) > cut:
-                groups.append(slots[cut:])
-        out: List[float] = []
-        for grp in groups:
-            if self.reproducible:
-                red = yield from self.comm.allreduce_vec(pack_slots(grp),
-                                                         tag=tag)
-                out += [render_slots(s) for s in unpack_slots(red, len(grp))]
-            elif len(grp) == 1 and not self.fused:
-                # unfused schedules reduce a lone slot as a scalar; fused
-                # ones only ever issue allreduce_vec, so there even a lone
-                # audit dot travels as a 1-element vector
-                red = yield from self.comm.allreduce_sum(grp[0], tag=tag)
-                out.append(float(red))
-            else:
-                red = yield from self.comm.allreduce_vec(np.array(grp),
-                                                         tag=tag)
-                out += [float(v) for v in red]
-            tag += 2
+            red = yield from self.comm.allreduce_vec(slots, tag=tag)
+            out = red.tolist()
         yield Compute(self.flops_per_element * nel)
-        if copies == 2:
+        if self.abft_op is not None:
             out = [decode_dot(np.array(out[2 * j:2 * j + 2]), terms[j][2])
                    for j in range(len(terms))]
         if len(terms) > len(pairs):
@@ -269,14 +245,12 @@ class Guard:
     """
 
     def __init__(self, program, rank: int, op, reducer: Reducer,
-                 b_local: np.ndarray, trajectory: bool = False,
-                 recharge_audit: bool = False):
+                 b_local: np.ndarray, trajectory: bool = False):
         self.rank = rank
         self.op = op
         self.reducer = reducer
         self.b = b_local
         self.trajectory = trajectory
-        self.recharge_audit = recharge_audit
         self.opts = program
         self.plan = (
             program.faults.for_rank(rank)
@@ -341,10 +315,6 @@ class Guard:
         ax = yield from self.op.apply_gathered(x, tag=21)
         d = self.b - ax
         (true2,) = yield from self.reducer.reduce([(d, d, "audit")], tag=23)
-        if self.recharge_audit:
-            # HPCG has always charged the audit dot twice (in its reducer
-            # and again after it); E26's modelled overheads pin that
-            yield Compute(2.0 * d.size)
         true_norm = float(np.sqrt(max(0.0, true2)))
         if abs(true_norm - recurrence_norm) > self.opts.sanity_rtol * max(
             bnorm, 1.0e-300
@@ -520,10 +490,7 @@ def _gear_step(op, precond, reducer, r, b=None):
     ``(u, w, gamma, delta, rnorm2)`` plus, on the first trip, ``b.b`` (it
     rides along so even setup needs no second tree)."""
     if precond is None:
-        # unpreconditioned row-block CG reduces 2 dots (gamma is r.r);
-        # every preconditioned program -- HPCG's precond="none" included,
-        # whose u is a *copy* of r -- reduces 3, r.u and r.r travelling
-        # separately.  Pinned by backend.words and the E23/E25 tables.
+        # u is r, so gamma is r.r: 2 dots, where a preconditioner needs 3
         u = r
         w = yield from op.apply(r)
         pairs = [(r, r, "r·r"), (w, r, "w·r")]

@@ -103,8 +103,10 @@ class CGRankProgram(RankProgramBase):
     Per iteration: one allgather of ``p`` (the Scenario-1 broadcast), one
     local CSR mat-vec, two allreduce inner products and three local
     SAXPY-type updates (:func:`~repro.backend.kernel.classic_cg`).  Each
-    rank returns ``(x_block, residuals, converged, iterations)``; the
-    residual history and flags are identical on every rank.
+    rank returns ``(x_block, residuals, converged, iterations, extras)``,
+    the shape every CG rank program returns; the residual history and
+    flags are identical on every rank, and a guarded program's recovery
+    telemetry sits under ``extras["resilience"]``.
 
     ``fused=True`` switches to the single-reduction recurrence
     (:func:`~repro.backend.kernel.chronopoulos_gear_cg`): the mat-vec rides
@@ -159,7 +161,7 @@ class CGRankProgram(RankProgramBase):
             dist = Block(self.n, size)
         comm = Collectives(rank, size, self.reliable, self.reliable_config)
         op = RowBlockOperator(self, dist, rank, comm)
-        reducer = Reducer(comm, self.reproducible, self.fused,
+        reducer = Reducer(comm, self.reproducible,
                           abft_op=op if self.abft else None)
         precond = (
             None if self.inv_diag is None
@@ -172,11 +174,8 @@ class CGRankProgram(RankProgramBase):
             op, precond, reducer, guard, bb, self.x_start[op.rows].copy(),
             bool(np.any(self.x_start)), self.crit, self.maxiter,
         )
-        # fault-free programs keep the historical 4-tuple (no phase_seconds:
-        # rank_spans would start emitting hpcg.phase_* on cg_rowblock_proc)
-        if guard is None:
-            return result[:4]
-        return result[:4] + (guard.extras(),)
+        extras = {} if guard is None else {"resilience": guard.extras()}
+        return result[:4] + (extras,)
 
 
 class PCGRankProgram(CGRankProgram):
@@ -212,8 +211,8 @@ class ResilientCGProgram(CGRankProgram):
     :class:`~repro.backend.abft.AbftChecksumError` the instant it
     happens).  A recovery driver restarts a crashed run by setting
     ``restart`` to the ``(iteration, {rank: snapshot})`` pair of the newest
-    complete checkpoint.  Each rank returns ``(x_block, residuals,
-    converged, iterations, extras)`` with recovery telemetry in ``extras``.
+    complete checkpoint.  Recovery telemetry comes back in
+    ``extras["resilience"]``.
 
     ``fused=True`` layers all of the above on the single-reduction
     recurrence: with ``abft=True`` the duplicate-sum slots of

@@ -591,9 +591,8 @@ def _resilient_solve(
                             options=options)
     result = assemble(run, program)
     result.extras["recovery"] = dict(run.recovery)
-    extras = [res[4] or {} for res in run.results]
-    # row-block programs return the telemetry itself; HPCG nests it
-    guards = [e.get("resilience", e) for e in extras]
+    extras = [res[4] for res in run.results]
+    guards = [e["resilience"] for e in extras]
     # the coordinated counters (rollbacks, audits, ...) are equal on every
     # rank; the transport and injection counters are per rank (each rank's
     # endpoint and injector see only its own sends), so those are summed

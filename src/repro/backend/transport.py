@@ -40,12 +40,17 @@ from collections import deque
 from multiprocessing import reduction
 from typing import Any, Deque, List, Optional, Tuple
 
+import numpy as np
+
 from .base import BackendError
 
 __all__ = ["Fabric", "Endpoint", "Link", "Ring", "Arena"]
 
 #: buffers at least this large travel through shared memory
 SHM_THRESHOLD = 8 << 10
+#: a float64 vector payload this short travels as a list of floats, which
+#: pickles and loads in about 2 us where the array takes about 10 us
+SMALL_VECTOR = 64
 #: capacity of the ring of one ordered rank pair
 RING_BYTES = 4 << 20
 #: capacity of a pool generation's dispatch ring (virtual until touched)
@@ -252,8 +257,13 @@ class Endpoint:
     def send(self, dest: int, tag: int, payload: Any) -> None:
         """Post a message; returns once it is placed, never waits for space."""
         link = self._out[dest]
+        vector = (type(payload) is np.ndarray and payload.ndim == 1
+                  and payload.size <= SMALL_VECTOR
+                  and payload.dtype == np.float64)
+        if vector:
+            payload = payload.tolist()
         frame = link.ring.dumps(
-            (self.job_id, tag, payload),
+            (self.job_id, tag, payload, vector),
             f"the payload rank {self.rank} sends to rank {dest} (tag {tag})")
         if self._stuck:
             self._progress(0.0)
@@ -288,9 +298,10 @@ class Endpoint:
                     self._poller.unregister(fd)
                 continue
             src, link = self._by_fd[fd]
-            for job_id, tag, payload in link.read():
+            for job_id, tag, payload, vector in link.read():
                 if job_id == self.job_id:
-                    self._ready.append((src, tag, payload))
+                    self._ready.append(
+                        (src, tag, np.array(payload) if vector else payload))
 
 
 class Fabric:

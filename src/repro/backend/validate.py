@@ -160,7 +160,6 @@ def hpcg_cross_validate(
     shape,
     nprocs: int = 2,
     precond: str = "mg",
-    fused: bool = False,
     reproducible: bool = False,
     criterion: Optional[StoppingCriterion] = None,
     simulated: Optional[Union[SimulatedBackend, ExecutionBackend]] = None,
@@ -181,7 +180,7 @@ def hpcg_cross_validate(
 
     sim_backend = simulated if simulated is not None else SimulatedBackend()
     proc_backend = process if process is not None else ProcessBackend()
-    common = dict(nprocs=nprocs, precond=precond, fused=fused,
+    common = dict(nprocs=nprocs, precond=precond,
                   reproducible=reproducible, criterion=criterion, **kwargs)
     sim = hpcg_solve(shape, backend=sim_backend, **common)
     proc = hpcg_solve(shape, backend=proc_backend, **common)

@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fused", action="store_true",
         help="single-reduction (communication-avoiding) recurrence: all "
              "per-iteration inner products in one batched allreduce "
-             "(cg/pcg, either backend)",
+             "(cg/pcg; stencil27 always reduces in one tree)",
     )
     solve.add_argument(
         "--scenario", choices=("stencil27",), default=None,
@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("respawn", "shrink", "rebalance"),
                         default="respawn")
     submit.add_argument("--fused", action="store_true",
-                        help="single-reduction CG recurrence")
+                        help="single-reduction CG recurrence (cg/pcg; "
+                             "stencil27 always reduces in one tree)")
     submit.add_argument(
         "--scenario", choices=("cg", "stencil27"), default="cg",
         help="job kind: row-block solve of --matrix (default) or the "

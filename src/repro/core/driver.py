@@ -148,8 +148,8 @@ def assemble_backend_result(run, solver: str, n: int) -> SolveResult:
     """Build a :class:`SolveResult` from an execution-backend run.
 
     ``run`` is a :class:`~repro.backend.base.BackendRun` whose per-rank
-    results follow the row-block solver convention
-    ``(x_block, residuals, converged, iterations)``.  ``machine_elapsed``
+    results follow the rank-program convention
+    ``(x_block, residuals, converged, iterations, extras)``.  ``machine_elapsed``
     is simulated time for the simulated backend and measured wall-clock
     time for the process backend; ``extras["backend"]`` says which.
     """

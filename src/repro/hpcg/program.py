@@ -9,19 +9,16 @@ process backends.
 
 Design choices that make the bitwise-reproducibility pin possible:
 
-* **one recurrence, two communication schedules.**  Genuinely different
+* **one recurrence, one reduction per iteration.**  Genuinely different
   update orders (classic two-reduction CG vs the Chronopoulos--Gear
   recurrence) can never be bitwise equal, exact dots or not.  This program
-  therefore always runs the *preconditioned Chronopoulos--Gear* recurrence
-  (:func:`~repro.backend.kernel.chronopoulos_gear_cg`), whose three
-  per-iteration inner products are all available together after the
-  mat-vec; ``fused`` only chooses whether they travel in three separate
-  reduction trees or one packed
-  :func:`~repro.machine.spmd.allreduce_vec`.  Slot-wise, both
-  schedules perform the identical additions in the identical binomial-tree
-  order, so classic and fused agree bitwise at any fixed rank count -- and
-  with ``reproducible=True`` (exact superaccumulator reductions) across
-  rank counts too.
+  therefore always runs the *Chronopoulos--Gear* recurrence
+  (:func:`~repro.backend.kernel.chronopoulos_gear_cg`), whose inner
+  products are all available together after the mat-vec and travel in
+  one packed :func:`~repro.machine.spmd.allreduce_vec`.  Its additions
+  follow a fixed binomial-tree order, so a run is bitwise repeatable at
+  any fixed rank count -- and with ``reproducible=True`` (exact
+  superaccumulator reductions) across rank counts too.
 
 * **halo exchange vs replicated preconditioning.**  With a local
   preconditioner (``none``/``jacobi``) the mat-vec operand is only known
@@ -79,9 +76,6 @@ HPCG_PRECONDS = ("none", "jacobi", "mg")
 #: tag of the halo point-to-point exchange (clear of the collectives' tags)
 _HALO_TAG = 31
 
-#: modelled per-element overhead of splat + render on a reproducible dot
-_REPRO_FLOPS = 8.0
-
 
 def _box_intersect(a, b):
     """Intersection of two ``((xlo,xhi),(ylo,yhi),(zlo,zhi))`` boxes."""
@@ -92,6 +86,10 @@ def _box_intersect(a, b):
             return None
         out.append((lo, hi))
     return tuple(out)
+
+
+def _box_empty(box) -> bool:
+    return any(lo >= hi for lo, hi in box)
 
 
 def _box_expand(box, shape):
@@ -124,7 +122,9 @@ def halo_plan(layout: Grid3DBlock, rank: int) -> List[Dict[str, Any]]:
     ids this rank must *send* (its own cells the neighbour's stencil
     reads) and the global ids it will *receive* (the neighbour's cells its
     own stencil reads).  Both sides compute the same plan from the layout
-    alone, so no negotiation messages are needed.
+    alone, so no negotiation messages are needed.  A rank whose subcube is
+    empty (an axis with more ranks than cells) exchanges nothing; it still
+    joins the reductions.
     """
     px, py, pz = layout.grid
     rx, ry, rz = layout.coords(rank)
@@ -141,6 +141,8 @@ def halo_plan(layout: Grid3DBlock, rank: int) -> List[Dict[str, Any]]:
                     continue
                 nb = layout.rank_of(cx, cy, cz)
                 nb_box = layout.local_box(nb)
+                if _box_empty(my_box) or _box_empty(nb_box):
+                    continue
                 send_box = _box_intersect(my_box, _box_expand(nb_box, shape))
                 recv_box = _box_intersect(_box_expand(my_box, shape), nb_box)
                 if send_box is None and recv_box is None:
@@ -315,13 +317,6 @@ class SubcubeOperator:
             )
 
 
-def _copy_preconditioner(r):
-    """``precond="none"`` as HPCG has always run it: ``u`` is a *copy* of
-    ``r`` and the recurrence still reduces 3 dots (see ``_gear_step``)."""
-    return r.copy()
-    yield  # pragma: no cover - a generator with no ops
-
-
 class ReplicatedMultigrid:
     """``u = M^-1 r`` by the replicated V-cycle: allgather, solve, slice; the
     full result stays with the operator, whose next product needs no halo."""
@@ -359,15 +354,11 @@ class HPCGRankProgram(RankProgramBase):
     precond:
         ``"none"``, ``"jacobi"`` (local diagonal scaling) or ``"mg"``
         (replicated geometric V-cycle).
-    fused:
-        Pack the three per-iteration inner products into one
-        ``allreduce_vec`` instead of three separate trees.  Numerics are
-        identical either way (see module docstring).
     reproducible:
         Ride every inner product on the fixed-point superaccumulator of
         :mod:`repro.backend.reproducible`: dots and norms become bitwise
-        invariant to rank count, topology, backend and fusion, at the cost
-        of wider reduction payloads.
+        invariant to rank count, topology and backend, at the cost of
+        wider reduction payloads.
 
     Each rank returns ``(x_block, residuals, converged, iterations,
     extras)`` where ``extras`` carries the per-iteration scalar trajectory
@@ -379,8 +370,7 @@ class HPCGRankProgram(RankProgramBase):
                  x0: Optional[np.ndarray] = None,
                  criterion: Optional[StoppingCriterion] = None,
                  maxiter: Optional[int] = None, precond: str = "mg",
-                 fused: bool = False, reproducible: bool = False,
-                 mg_levels: int = 4,
+                 reproducible: bool = False, mg_levels: int = 4,
                  grid: Optional[Tuple[int, int, int]] = None):
         super().__init__(matrix, b, x0, criterion, maxiter, reproducible)
         nx, ny, nz = (int(s) for s in shape)
@@ -396,7 +386,6 @@ class HPCGRankProgram(RankProgramBase):
             )
         self.shape = (nx, ny, nz)
         self.precond = precond
-        self.fused = bool(fused)
         self.grid = grid
         self.inv_diag: Optional[np.ndarray] = (
             JacobiPreconditioner(matrix).inv_diag
@@ -428,22 +417,17 @@ class HPCGRankProgram(RankProgramBase):
         layout = self._layout_at(size)
         comm = Collectives(rank, size, self.reliable, self.reliable_config)
         op = SubcubeOperator(self, layout, rank, comm)
+        precond = None
         if self.precond == "mg":
             precond = ReplicatedMultigrid(self.mg, op)
         elif self.precond == "jacobi":
             precond = partial(jacobi, self.inv_diag[op.rows])
-        else:
-            precond = _copy_preconditioner
-        # unfused, every HPCG dot rides its own tree; and only HPCG charges
-        # the reproducible-dot surcharge (see Reducer)
-        reducer = Reducer(comm, self.reproducible, self.fused, split=True,
-                          repro_flops=_REPRO_FLOPS,
+        reducer = Reducer(comm, self.reproducible,
                           abft_op=op if self.abft else None)
         bb = self.b[op.rows].copy()
         guard = None
         if self.guarded:
-            guard = Guard(self, rank, op, reducer, bb, trajectory=True,
-                          recharge_audit=True)
+            guard = Guard(self, rank, op, reducer, bb, trajectory=True)
         x = self.x_start[op.rows].copy()
         setup_seconds = time.perf_counter() - t_setup
 
@@ -464,7 +448,6 @@ class HPCGRankProgram(RankProgramBase):
         }
         extras: Dict[str, Any] = {
             "precond": self.precond,
-            "fused": self.fused,
             "reproducible": self.reproducible,
         }
         if guard is not None:
@@ -503,17 +486,15 @@ class ResilientHPCGProgram(HPCGRankProgram):
     with ``reliable=True`` every collective *and* every face/edge/corner
     halo message rides the ARQ of :mod:`repro.machine.reliable`.
 
-    Fusion and ``reproducible=True`` compose exactly as in the plain
-    program; a fault-free resilient run reproduces the plain trajectory
-    bitwise.
+    ``reproducible=True`` composes exactly as in the plain program; a
+    fault-free resilient run reproduces the plain trajectory bitwise.
     """
 
     def __init__(self, matrix, b: np.ndarray, shape: Tuple[int, int, int],
                  x0: Optional[np.ndarray] = None,
                  criterion: Optional[StoppingCriterion] = None,
                  maxiter: Optional[int] = None, precond: str = "mg",
-                 fused: bool = False, reproducible: bool = False,
-                 mg_levels: int = 4,
+                 reproducible: bool = False, mg_levels: int = 4,
                  grid: Optional[Tuple[int, int, int]] = None,
                  checkpoint_interval: int = 10, sanity_interval: int = 5,
                  sanity_rtol: float = 1.0e-6, max_restarts: int = 4,
@@ -523,8 +504,8 @@ class ResilientHPCGProgram(HPCGRankProgram):
                  layout: Optional[Grid3DBlock] = None):
         super().__init__(
             matrix, b, shape, x0=x0, criterion=criterion, maxiter=maxiter,
-            precond=precond, fused=fused, reproducible=reproducible,
-            mg_levels=mg_levels, grid=grid,
+            precond=precond, reproducible=reproducible, mg_levels=mg_levels,
+            grid=grid,
         )
         self._init_guard(checkpoint_interval, sanity_interval, sanity_rtol,
                          max_restarts, faults, reliable, reliable_config,

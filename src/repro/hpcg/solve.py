@@ -87,7 +87,6 @@ def hpcg_solve(
     backend: Union[str, ExecutionBackend] = "simulated",
     nprocs: int = 4,
     precond: str = "mg",
-    fused: bool = False,
     reproducible: bool = False,
     b: Optional[np.ndarray] = None,
     x0: Optional[np.ndarray] = None,
@@ -115,8 +114,10 @@ def hpcg_solve(
         and rank count; extra keyword arguments go to the constructor of
         a named backend (an instance is already built, so it refuses
         them with ``TypeError``).
-    precond, fused, reproducible, mg_levels:
-        Forwarded to :class:`~repro.hpcg.program.HPCGRankProgram`.
+    precond, reproducible, mg_levels:
+        Forwarded to :class:`~repro.hpcg.program.HPCGRankProgram`, which
+        always runs the Chronopoulos--Gear recurrence with its dots in one
+        reduction tree per iteration.
     b:
         Right-hand side; defaults to the RHS whose exact solution is all
         ones (the HPCG convention, via :func:`rhs_for_solution`).
@@ -157,7 +158,7 @@ def hpcg_solve(
         shape, backend, nprocs, RunOptions(), matrix=matrix, b=b,
         faults=faults, resilience=resilience, policy=policy,
         min_ranks=min_ranks, abft=abft, store=store, precond=precond,
-        fused=fused, reproducible=reproducible, x0=x0, criterion=criterion,
+        reproducible=reproducible, x0=x0, criterion=criterion,
         maxiter=maxiter, mg_levels=mg_levels, grid=grid,
     )
 

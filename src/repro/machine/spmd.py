@@ -112,7 +112,7 @@ def allreduce_vec(
     ``2 log P``-stage tree instead of paying ``t_startup`` per scalar.
     Every rank must contribute the same slot count.
     """
-    vec = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    vec = np.ascontiguousarray(values, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(
             f"allreduce_vec packs a non-empty 1-D scalar vector, got "

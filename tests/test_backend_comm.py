@@ -99,18 +99,22 @@ def test_comm_collectives_match_raw_spmd_bitwise():
 
     def via_collectives(rank, size):
         comm = Collectives(rank, size)
-        result = yield from comm.allreduce_sum(values[rank], tag=3)
-        return result
+        result = yield from comm.allreduce_vec(np.array([values[rank]]),
+                                               tag=3)
+        return float(result[0])
 
     def via_spmd(rank, size):
         result = yield from spmd.allreduce_sum(rank, size, values[rank], tag=3)
         return result
 
-    a = _run(via_collectives, 4).results
-    b = _run(via_spmd, 4).results
-    assert a == b  # exact equality, not allclose
+    a = _run(via_collectives, 4)
+    b = _run(via_spmd, 4)
+    assert a.results == b.results  # exact equality, not allclose
+    # a 1-slot vector is the scalar tree: same messages, words and tags
+    assert a.stats.total_messages == b.stats.total_messages
+    assert a.stats.total_words == b.stats.total_words
     # and the tree order differs from naive left-to-right summation
-    assert a[0] == pytest.approx(sum(values))
+    assert a.results[0] == pytest.approx(sum(values))
 
 
 def test_comm_send_nwords_override():

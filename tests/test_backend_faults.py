@@ -140,9 +140,9 @@ class TestFaultInjector:
     def test_fault_free_plan_is_transparent(self):
         def program(rank, size):
             comm = Collectives(rank, size)
-            total = yield from comm.allreduce_sum(float(rank + 1))
+            total = yield from comm.allreduce_vec(np.array([rank + 1.0]))
             blocks = yield from comm.allgather(np.full(2, float(rank)))
-            return total, float(np.concatenate(blocks).sum())
+            return float(total[0]), float(np.concatenate(blocks).sum())
 
         run = SimulatedBackend().run(
             FaultInjectingProgram(program, FaultPlan(seed=3)), 4)

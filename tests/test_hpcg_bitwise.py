@@ -6,13 +6,13 @@ per-iteration alpha/beta/gamma, residual history, iteration count -- must
 be bitwise identical across
 
 * rank counts (p in {1, 2, 4, 8}),
-* reduction packing (classic scalar trees vs one fused payload),
 * execution substrate (simulated scheduler vs real OS processes), and
 * fault-induced re-execution (chaos restarts replay the same exact dots).
 
-Non-reproducible runs keep the narrower (but still strong) guarantee that
-classic and fused packing agree at fixed p, because both drive the same
-binomial combine order.
+HPCG always packs a step's dots into one reduction tree.  A job spec's
+``fused`` field selects the row-block recurrence only; a ``stencil27``
+spec ignores it, so specs journaled with either value replay the same
+run, reproducible or not.
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.backend import (
     process_backend_support,
 )
 from repro.backend.chaos import chaos_run
+from repro.backend.job import JobSpec, solve
 from repro.core import StoppingCriterion
 from repro.sparse import poisson2d, rhs_for_solution
 from repro.hpcg import hpcg_solve
@@ -51,6 +52,12 @@ def _signature(res):
     )
 
 
+def _spec_solve(p, fused, **kw):
+    """One stencil27 job; ``fused`` is the spec field HPCG ignores."""
+    return solve(JobSpec(scenario="stencil27", shape=SHAPE, nprocs=p,
+                         fused=fused, **kw), "simulated")
+
+
 class TestReproducibleMatrix:
     """The 16-way pin on the simulated backend."""
 
@@ -59,9 +66,8 @@ class TestReproducibleMatrix:
         ref = None
         for p in (1, 2, 4, 8):
             for fused in (False, True):
-                res = hpcg_solve(
-                    SHAPE, nprocs=p, precond=precond, fused=fused,
-                    reproducible=True)
+                res = _spec_solve(p, fused, precond=precond,
+                                  reproducible=True)
                 assert res.converged
                 sig = _signature(res)
                 if ref is None:
@@ -81,18 +87,19 @@ class TestReproducibleMatrix:
 class TestNonReproducibleFixedP:
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_classic_equals_fused_at_fixed_p(self, p):
-        """Same binomial combine order => classic == fused even unfused."""
-        classic = hpcg_solve(SHAPE, nprocs=p, precond="mg", fused=False)
-        fused = hpcg_solve(SHAPE, nprocs=p, precond="mg", fused=True)
+        """Either spelling of a stencil27 spec is the same run."""
+        classic = _spec_solve(p, False, precond="mg")
+        fused = _spec_solve(p, True, precond="mg")
         assert _signature(classic) == _signature(fused)
+        assert classic.comm == fused.comm
 
 
 @needs_process
 class TestProcessBackendParity:
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_cross_validate_mg(self, fused):
+    @pytest.mark.parametrize("reproducible", [False, True])
+    def test_cross_validate_mg(self, reproducible):
         report = hpcg_cross_validate(
-            SHAPE, nprocs=2, precond="mg", fused=fused, reproducible=True)
+            SHAPE, nprocs=2, precond="mg", reproducible=reproducible)
         assert report.bitwise_equal
 
     def test_process_matches_simulated_reference_any_p(self):

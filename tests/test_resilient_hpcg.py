@@ -17,6 +17,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.backend import process_backend_support
 from repro.backend.chaos import chaos_run
 from repro.backend.simulated import SimulatedBackend
 from repro.backend.store import DurableCheckpointStore
@@ -54,10 +55,10 @@ def _resilient(precond="jacobi", **kw):
 # fault-free parity
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("precond", ["none", "jacobi", "mg"])
-@pytest.mark.parametrize("fused", [False, True])
-def test_fault_free_bitwise_parity(precond, fused):
-    ref = _plain(precond, fused=fused)
-    res = _resilient(precond, fused=fused)
+@pytest.mark.parametrize("reproducible", [False, True])
+def test_fault_free_bitwise_parity(precond, reproducible):
+    ref = _plain(precond, reproducible=reproducible)
+    res = _resilient(precond, reproducible=reproducible)
     assert res.converged and ref.converged
     np.testing.assert_array_equal(res.x, ref.x)
     assert res.extras["resilience"]["rollbacks"] == 0
@@ -91,11 +92,29 @@ def test_crash_respawn_resumes_from_checkpoint():
 @pytest.mark.parametrize("precond", ["jacobi", "mg"])
 def test_crash_shrink_refactorizes_grid(precond):
     ref = _plain(precond)
-    plan = FaultPlan(seed=2, crashes=[RankCrash(1, 0.004)])
+    plan = FaultPlan(seed=2, crashes=[RankCrash(1, 0.002)])
     res = _resilient(precond, faults=plan, policy="shrink")
     assert res.converged
     assert res.extras["recovery"]["final_nprocs"] == 3
     np.testing.assert_allclose(res.x, ref.x, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["simulated", pytest.param(
+    "process", marks=pytest.mark.skipif(
+        not process_backend_support()[0],
+        reason="process backend unavailable"))])
+def test_shrink_onto_an_empty_subcube(backend):
+    """Three survivors re-factorise to ``(1, 1, 3)`` over ``nz = 2``: one
+    owns nothing, exchanges no halo and still joins the reductions."""
+    shape = (16, 16, 2)
+    ref = hpcg_solve(shape, nprocs=1, precond="jacobi", reproducible=True)
+    res = hpcg_solve(shape, backend=backend, nprocs=4, policy="shrink",
+                     precond="jacobi", reproducible=True,
+                     faults=FaultPlan(crashes=[RankCrash(3, 1.0e-4)]))
+    assert res.converged
+    assert res.extras["recovery"]["final_nprocs"] == 3
+    assert res.extras["hpcg"]["grid"] == (1, 1, 3)
+    assert res.x.tobytes() == ref.x.tobytes()
 
 
 def test_state_corruption_rolls_back():

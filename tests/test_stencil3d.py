@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.backend import process_backend_support
 from repro.hpf.distribution import DistributionError, Grid3DBlock, choose_grid3d
+from repro.hpcg import hpcg_solve
 from repro.hpcg.program import halo_plan
 from repro.sparse import stencil27
+
+_OK, _DETAIL = process_backend_support()
+BACKENDS = ["simulated", pytest.param("process", marks=pytest.mark.skipif(
+    not _OK, reason=f"process backend unavailable: {_DETAIL}"))]
 
 
 class TestStencil27:
@@ -317,3 +323,31 @@ class TestMatrixOverride:
         with pytest.raises(ValueError, match=message):
             hpcg_solve((6, 5, 4), nprocs=2, precond="jacobi", matrix=bad,
                        b=np.ones(a.nrows))
+
+
+class TestEmptySubcube:
+    """``choose_grid3d`` ignores the grid shape, so an axis can get more
+    ranks than cells.  A rank with an empty subcube exchanges no halo and
+    still joins every reduction."""
+
+    def test_empty_ranks_have_no_neighbours(self):
+        layout = Grid3DBlock((8, 8, 1), 2)  # (1, 1, 2): rank 1 owns nothing
+        assert layout.local_count(1) == 0
+        assert halo_plan(layout, 0) == halo_plan(layout, 1) == []
+        layout = Grid3DBlock((4, 4, 1), 4)  # (1, 2, 2): ranks 2, 3 empty
+        assert [[e["rank"] for e in halo_plan(layout, r)]
+                for r in range(4)] == [[1], [0], [], []]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shape,p,precond", [
+        ((8, 8, 1), 2, "jacobi"),
+        ((4, 4, 1), 4, "none"),
+        ((8, 8, 1), 2, "mg"),
+        ((8, 8, 2), 4, "jacobi"),  # one-cell slabs, nobody empty
+    ])
+    def test_solves_bitwise_as_one_rank(self, backend, shape, p, precond):
+        ref = hpcg_solve(shape, nprocs=1, precond=precond, reproducible=True)
+        res = hpcg_solve(shape, backend=backend, nprocs=p, precond=precond,
+                         reproducible=True)
+        assert res.converged
+        assert res.x.tobytes() == ref.x.tobytes()

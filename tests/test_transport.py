@@ -203,6 +203,21 @@ def test_received_arrays_are_private_and_writable(pair):
     assert same(deliver(a, b, 1)[0][2], big)
 
 
+def test_short_vectors_arrive_bit_for_bit(pair):
+    """Short float64 vectors travel as float lists and come back exact."""
+    _, a, b = pair
+    edge = np.array([np.nan, -0.0, 5e-324, -np.inf, 1.0 + 2**-52])
+    n = transport.SMALL_VECTOR
+    sent = [edge, np.zeros(0), np.arange(float(n)), np.arange(n + 1.0),
+            np.arange(4.0).astype(">f8"), np.arange(8.0)[::2]]
+    for payload in sent:
+        a.send(1, 5, payload)
+    got = [p for _, _, p in deliver(a, b, len(sent))]
+    for s, r in zip(sent, got):
+        assert r.dtype == s.dtype and r.tobytes() == s.tobytes()
+        r += 1.0  # private and writable
+
+
 # ------------------------------------------------------------------ #
 # real ranks
 # ------------------------------------------------------------------ #
