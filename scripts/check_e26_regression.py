@@ -15,10 +15,12 @@ apply -- they are the subsystem's contract, not a trajectory:
   reductions must hold the contract on every run, with bitwise
   reference equality on converged outcomes.
 
-The trajectory check guards the simulated-time overhead ratio at the
-default checkpoint interval (5): the simulated cost of checkpoints and
-audits is deterministic, so if a change makes the freshly generated
-ratio exceed the last *committed* ratio by more than 20%, exit 1.
+The trajectory check guards the simulated-time overhead ratio at every
+checkpoint interval of the sweep: the simulated cost of checkpoints and
+audits is deterministic, so if a change makes any freshly generated
+ratio exceed its last *committed* ratio by more than 20%, or drops an
+interval the committed sweep has, exit 1.  An interval the committed
+sweep lacks is seeded, not judged.
 
 Baseline = ``git show HEAD:BENCH_e26.json``.  No committed baseline
 (first run, or file renamed) is a clean pass for the trajectory check --
@@ -38,7 +40,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH = REPO_ROOT / "BENCH_e26.json"
 TOLERANCE = 1.20  # >20% worse than the committed baseline fails
-GUARDED_INTERVAL = "5"
 
 
 def load_current() -> dict:
@@ -67,7 +68,7 @@ def main() -> int:
     current = load_current()
     try:
         sweep = current["overhead_by_interval"]
-        ratio = sweep[GUARDED_INTERVAL]["sim_time_ratio"]
+        ratios = {k: row["sim_time_ratio"] for k, row in sweep.items()}
         durable_ok = current["durable_store_matches_memory"]
         chaos = current["chaos"]
     except KeyError as missing:
@@ -99,17 +100,23 @@ def main() -> int:
         print("no committed BENCH_e26.json baseline -- seeding the "
               "trajectory with the current run.")
     else:
-        base = (
-            baseline.get("overhead_by_interval", {})
-            .get(GUARDED_INTERVAL, {})
-            .get("sim_time_ratio")
-        )
-        if base is not None:
+        committed = baseline.get("overhead_by_interval", {})
+        for interval in sorted(set(committed) | set(ratios), key=int):
+            base = committed.get(interval, {}).get("sim_time_ratio")
+            if base is None:
+                print(f"trajectory: interval-{interval} is new -- seeding "
+                      f"it with {ratios[interval]:.3f}")
+                continue
+            if interval not in ratios:
+                failed = True
+                print(f"trajectory: interval-{interval} is committed but "
+                      "missing from the current sweep REGRESSION")
+                continue
             limit = base * TOLERANCE
-            verdict = "OK" if ratio <= limit else "REGRESSION"
+            verdict = "OK" if ratios[interval] <= limit else "REGRESSION"
             failed |= verdict == "REGRESSION"
-            print(f"trajectory: interval-{GUARDED_INTERVAL} overhead "
-                  f"{ratio:.3f} vs committed {base:.3f} "
+            print(f"trajectory: interval-{interval} overhead "
+                  f"{ratios[interval]:.3f} vs committed {base:.3f} "
                   f"(limit {limit:.3f}) {verdict}")
 
     if failed:

@@ -49,37 +49,29 @@ def _check_weights(weights) -> np.ndarray:
     return weights
 
 
-def _feasible(weights: np.ndarray, nparts: int, cap: float) -> bool:
-    """Can the sequence be cut into <= nparts contiguous chunks of sum <= cap?"""
-    parts = 1
-    acc = 0.0
-    for w in weights:
-        if w > cap:
-            return False
-        if acc + w > cap:
-            parts += 1
-            acc = w
-            if parts > nparts:
-                return False
-        else:
-            acc += w
-    return True
+def _prefix_sums(weights: np.ndarray):
+    """Running sums from 0, and whether the weights are integers (counts)."""
+    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    return prefix, bool((weights == np.floor(weights)).all())
 
 
-def _cuts_for_cap(weights: np.ndarray, nparts: int, cap: float) -> np.ndarray:
-    """Greedy chunk starts for a feasible capacity, padded to nparts parts."""
-    starts = [0]
-    acc = 0.0
-    for i, w in enumerate(weights):
-        if acc + w > cap and acc > 0:
-            starts.append(i)
-            acc = w
-        else:
-            acc += w
-    if len(starts) > nparts:
-        raise DistributionError("internal error: infeasible capacity")
-    cuts = starts + [int(weights.size)] * (nparts + 1 - len(starts))
-    return np.asarray(cuts, dtype=np.int64)
+def _greedy_cuts(prefix: np.ndarray, caps, integral: bool) -> np.ndarray:
+    """Contiguous chunks in rank order, chunk ``r`` weighing <= ``caps[r]``.
+
+    Each chunk starts where the last one ended and takes atoms while its
+    weight fits: one ``searchsorted`` over the prefix sums per chunk.  The
+    chunking covers every atom iff ``cuts[-1] == n``.  For integer weights
+    the caps are floored first, so ``prefix[start] + cap`` is an exact
+    integer and cannot round up past the next prefix value; below 2**53
+    the cuts are then exactly those of a running-sum greedy loop.  Other
+    weights compare rounded prefix sums, so where a chunk's weight ties its
+    cap to within rounding a cut may sit one atom off from such a loop.
+    """
+    cuts = np.zeros(len(caps) + 1, dtype=np.int64)
+    for r, cap in enumerate(np.floor(caps) if integral else caps):
+        cuts[r + 1] = np.searchsorted(
+            prefix, prefix[cuts[r]] + cap, side="right") - 1
+    return cuts
 
 
 def cg_balanced_partitioner_1(weights, nparts: int) -> np.ndarray:
@@ -103,8 +95,12 @@ def cg_balanced_partitioner_1(weights, nparts: int) -> np.ndarray:
     Notes
     -----
     Binary search on the bottleneck capacity with a greedy feasibility
-    check gives the optimal contiguous partition in
-    ``O(n log(sum w / min w))``.
+    check gives the optimal contiguous partition.  Each check is
+    ``nparts`` searches over the prefix sums, so the whole search costs
+    ``O(n + nparts log n log(sum w / min w))``.  Integer weights (the
+    nonzero counts every caller passes) give exact checks and so the
+    optimum; for other weights the bottleneck is optimal to within the
+    rounding of the prefix sums.
     """
     weights = _check_weights(weights)
     if nparts < 1:
@@ -112,8 +108,9 @@ def cg_balanced_partitioner_1(weights, nparts: int) -> np.ndarray:
     n = weights.size
     if n == 0:
         return np.zeros(nparts + 1, dtype=np.int64)
+    prefix, integral = _prefix_sums(weights)
     lo = float(weights.max())
-    hi = float(weights.sum())
+    hi = float(prefix[-1])
     if lo == 0.0:
         return _even_cuts(n, nparts)
     # binary search over achievable bottleneck values
@@ -121,42 +118,19 @@ def cg_balanced_partitioner_1(weights, nparts: int) -> np.ndarray:
         if hi - lo <= 1e-9 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        if _feasible(weights, nparts, mid):
+        if _greedy_cuts(prefix, np.full(nparts, mid), integral)[-1] == n:
             hi = mid
         else:
             lo = mid
-    cuts = _cuts_for_cap(weights, nparts, hi)
-    cuts[0] = 0
-    cuts[-1] = n
+    cuts = _greedy_cuts(prefix, np.full(nparts, hi), integral)
+    if cuts[-1] != n:
+        raise DistributionError("internal error: infeasible capacity")
     return cuts
 
 
 def _even_cuts(n: int, nparts: int) -> np.ndarray:
     k = -(-n // nparts)
     return np.minimum(np.arange(nparts + 1, dtype=np.int64) * k, n)
-
-
-def _capacity_feasible(
-    weights: np.ndarray, capacities: np.ndarray, t: float, cuts_out=None
-) -> bool:
-    """Can contiguous chunks fit with chunk ``r`` weighing <= t*capacities[r]?
-
-    Greedy in rank order: each rank takes atoms until its scaled cap would
-    overflow.  Optionally records the cut points it found.
-    """
-    starts = [0]
-    i = 0
-    n = weights.size
-    for r in range(capacities.size):
-        cap = t * capacities[r]
-        acc = 0.0
-        while i < n and acc + weights[i] <= cap:
-            acc += weights[i]
-            i += 1
-        starts.append(i)
-    if cuts_out is not None:
-        cuts_out[:] = starts
-    return i == n
 
 
 def capacity_scaled_partitioner(weights, capacities) -> np.ndarray:
@@ -186,26 +160,25 @@ def capacity_scaled_partitioner(weights, capacities) -> np.ndarray:
         raise DistributionError("capacities must be a non-empty 1-D array")
     if (capacities <= 0).any():
         raise DistributionError("capacities must be positive")
-    nparts = capacities.size
     n = weights.size
-    if n == 0 or weights.sum() == 0.0:
-        return _even_cuts(n, nparts)
+    prefix, integral = _prefix_sums(weights)
+    if n == 0 or prefix[-1] == 0.0:
+        return _even_cuts(n, capacities.size)
     # binary search on the bottleneck completion time T
     lo = 0.0
-    hi = float(weights.sum() / capacities.min())
+    hi = float(prefix[-1] / capacities.min())
     for _ in range(64):
         if hi - lo <= 1e-9 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        if _capacity_feasible(weights, capacities, mid):
+        if _greedy_cuts(prefix, mid * capacities, integral)[-1] == n:
             hi = mid
         else:
             lo = mid
-    cuts = [0] * (nparts + 1)
-    if not _capacity_feasible(weights, capacities, hi, cuts_out=cuts):
+    cuts = _greedy_cuts(prefix, hi * capacities, integral)
+    if cuts[-1] != n:
         raise DistributionError("internal error: infeasible capacity bound")
-    cuts[0], cuts[-1] = 0, n
-    return np.asarray(cuts, dtype=np.int64)
+    return cuts
 
 
 def lpt_partitioner(weights, nparts: int, seed: int = None) -> np.ndarray:

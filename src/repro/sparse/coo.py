@@ -22,6 +22,22 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["COOMatrix"]
 
 
+def _canonical_order(major, minor, n_major: int, n_minor: int) -> np.ndarray:
+    """Stable permutation into ``(major, minor)`` order, ties in input order.
+
+    One int64 key ``major * n_minor + minor`` sorted stably is the same
+    permutation as ``np.lexsort((minor, major))``; the key needs
+    ``n_major * n_minor < 2**63``, so a larger shape is refused rather
+    than wrapped into a wrong order.
+    """
+    if n_major * n_minor >= 2**63:
+        raise ValueError(
+            f"shape {n_major} x {n_minor}: the sort key major*n_minor + minor "
+            "needs n_major*n_minor < 2**63"
+        )
+    return np.argsort(major * n_minor + minor, kind="stable")
+
+
 class COOMatrix(SparseMatrix):
     """Coordinate-format sparse matrix.
 
@@ -59,8 +75,8 @@ class COOMatrix(SparseMatrix):
             if cols.min() < 0 or cols.max() >= self.shape[1]:
                 raise ValueError("column index out of bounds")
         if sum_duplicates and rows.size:
-            # canonical order: row-major, summing duplicates
-            order = np.lexsort((cols, rows))
+            # canonical order: row-major, summing duplicates in input order
+            order = _canonical_order(rows, cols, *self.shape)
             rows, cols, data = rows[order], cols[order], data[order]
             is_new = np.ones(rows.size, dtype=bool)
             is_new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
@@ -107,7 +123,7 @@ class COOMatrix(SparseMatrix):
     def to_csr(self) -> "CSRMatrix":
         from .csr import CSRMatrix
 
-        order = np.lexsort((self.cols, self.rows))
+        order = _canonical_order(self.rows, self.cols, *self.shape)
         rows = self.rows[order]
         indptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.add.at(indptr, rows + 1, 1)
@@ -119,7 +135,7 @@ class COOMatrix(SparseMatrix):
     def to_csc(self) -> "CSCMatrix":
         from .csc import CSCMatrix
 
-        order = np.lexsort((self.rows, self.cols))
+        order = _canonical_order(self.cols, self.rows, self.ncols, self.nrows)
         cols = self.cols[order]
         indptr = np.zeros(self.ncols + 1, dtype=np.int64)
         np.add.at(indptr, cols + 1, 1)
