@@ -17,17 +17,17 @@ pins the claim three ways:
   bitwise cross-backend deterministic, and with a calibrated cost model
   the modelled saving is compared against measured wall clock.
 
-Machine-readable results go to ``BENCH_e23.json`` at the repo root (the
-repo's first committed benchmark trajectory); CI re-runs the simulator
-part and fails if the fused-vs-classic allreduce-count ratio regresses
-by more than 20% against the committed baseline
-(``scripts/check_e23_regression.py``).
+The count identities are asserts here at P in {2, 4, 8} (the CI
+``fused-cg`` job runs this module) and in
+``tests/test_fused_cg.py::TestSingleAllreducePerIteration``; CI
+byte-diffs the counted table ``e23_fused_cg``.  E23b's measured columns
+vary with host load and are not diffed.
 """
 
 import numpy as np
 import pytest
 
-from _harness import record_json, record_table
+from _harness import record_table
 from repro.analysis import (
     Table,
     classic_cg_iteration_time,
@@ -84,7 +84,6 @@ def test_e23_fused_vs_classic_simulated(benchmark):
         title=f"E23  single-reduction CG vs classic (poisson2d "
         f"{SIDE}x{SIDE}, n={n})",
     )
-    entries = {}
     for nprocs in (2, 4, 8):
         xc, ic, cc, trees_c, el_c = _counted_run(be, A, b, nprocs, False)
         xf, if_, cf, trees_f, el_f = _counted_run(be, A, b, nprocs, True)
@@ -108,16 +107,6 @@ def test_e23_fused_vs_classic_simulated(benchmark):
         t.add_row(nprocs, ic, int(trees_c), int(trees_f),
                   f"{trees_f / trees_c:.3f}", f"{el_c:.3e}", f"{el_f:.3e}",
                   f"{meas_saving:.3e}", f"{model_saving:.3e}")
-        entries[str(nprocs)] = {
-            "iterations": int(ic),
-            "allreduce_classic": int(trees_c),
-            "allreduce_fused": int(trees_f),
-            "allreduce_ratio": trees_f / trees_c,
-            "sim_elapsed_classic_s": el_c,
-            "sim_elapsed_fused_s": el_f,
-            "saving_per_iter_measured_s": meas_saving,
-            "saving_per_iter_modelled_s": model_saving,
-        }
     record_table(
         "e23_fused_cg", t,
         notes="Fused = Chronopoulos-Gear recurrence: gamma = r.r and "
@@ -125,20 +114,10 @@ def test_e23_fused_vs_classic_simulated(benchmark):
         "(b.b rides along on the setup trip).  The modelled saving "
         "2 L t_startup - 2 (n/P) t_flop matches the simulator to <1%.",
     )
-    record_json("e23", {
-        "experiment": "e23_fused_cg",
-        "problem": {"matrix": f"poisson2d {SIDE}x{SIDE}", "n": n, "nnz": nnz},
-        "criterion": {"rtol": CRIT.rtol, "maxiter": CRIT.maxiter},
-        "simulated": entries,
-    })
 
 
 @pytest.mark.skipif(not _OK, reason=f"process backend unavailable: {_DETAIL}")
 def test_e23b_fused_process_calibrated(benchmark):
-    import json
-
-    from _harness import REPO_ROOT
-
     A, b = _problem()
     proc = ProcessBackend(timeout=120.0)
 
@@ -155,9 +134,7 @@ def test_e23b_fused_process_calibrated(benchmark):
         f"(t_startup={cal.t_startup:.2e}s, t_comm={cal.t_comm:.2e}s/word, "
         f"t_flop={cal.t_flop:.2e}s)",
     )
-    process_entries = {}
     for nprocs in (2, 4):
-        rows = {}
         for fused in (False, True):
             cv = cross_validate("cg", A, b, nprocs=nprocs, criterion=CRIT,
                                 simulated=sim, process=proc, fused=fused)
@@ -166,27 +143,9 @@ def test_e23b_fused_process_calibrated(benchmark):
             t.add_row(nprocs, label, "yes", cv.process.iterations,
                       f"{cv.modelled['total']:.3e}",
                       f"{cv.measured['total']:.3e}", f"{cv.time_ratio:.2f}")
-            rows[label] = {
-                "iterations": int(cv.process.iterations),
-                "modelled_host_s": cv.modelled["total"],
-                "measured_s": cv.measured["total"],
-                "ratio": cv.time_ratio,
-            }
-        process_entries[str(nprocs)] = rows
     record_table(
         "e23b_fused_process", t,
         notes="Both variants stay bitwise-deterministic across substrates. "
-        "Measured rows vary with host load; the committed JSON is a "
-        "trajectory sample, and CI compares only the deterministic "
-        "allreduce-count ratio.",
+        "Measured rows vary with host load and are not diffed; the "
+        "deterministic allreduce counts are pinned by E23's asserts.",
     )
-    # fold the measured section into the JSON the simulator test wrote
-    path = REPO_ROOT / "BENCH_e23.json"
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["process_calibrated"] = {
-        "t_startup": cal.t_startup,
-        "t_comm": cal.t_comm,
-        "t_flop": cal.t_flop,
-        "runs": process_entries,
-    }
-    record_json("e23", payload)

@@ -15,10 +15,10 @@ that fixed tax is the bill.  E24 pins the claim:
 * **determinism** -- every solve, on every path, is bitwise-identical
   (same program, same substrate; reuse must not perturb results).
 
-Machine-readable results go to ``BENCH_e24.json`` at the repo root; the
-CI ``service-soak`` job re-runs this benchmark and
-``scripts/check_e24_regression.py`` fails if the warm/one-shot speedup
-drops below the 2x floor or collapses against the committed baseline.
+The CI ``service-soak`` job re-runs this benchmark; the assert at its
+end is the 2x floor.  Pool throughput across commits is judged by the
+layered benchmark's ``service_stream`` workload (``jobs_per_s``), not by
+a baseline committed from some other host.
 """
 
 import time
@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from _harness import record_json, record_table
+from _harness import record_table
 from repro.analysis import Table
 from repro.backend import ProcessBackend, process_backend_support
 from repro.backend.solve import make_solver_program
@@ -139,28 +139,6 @@ def test_e24_warm_pool_vs_one_shot(benchmark):
         "solve; the warm pool pays it once per generation.  All three "
         "paths return bitwise-identical solutions.",
     )
-    record_json("e24", {
-        "experiment": "e24_service_throughput",
-        "problem": {"matrix": f"poisson1d n={N}", "n": N, "nnz": int(A.nnz)},
-        "criterion": {"rtol": CRIT.rtol, "maxiter": CRIT.maxiter},
-        "nprocs": NPROCS,
-        "jobs": JOBS,
-        "start_method": START,
-        "one_shot": {
-            "elapsed_s": one_shot_s,
-            "solves_per_sec": one_shot_rate,
-        },
-        "warm_pool": {
-            "elapsed_s": warm_s,
-            "solves_per_sec": warm_rate,
-            "speedup_vs_one_shot": speedup,
-        },
-        "service": {
-            "elapsed_s": service_s,
-            "solves_per_sec": service_rate,
-            "speedup_vs_one_shot": service_speedup,
-        },
-    })
 
     # the acceptance floor: a warm pool must at least double throughput
     assert speedup >= 2.0, (

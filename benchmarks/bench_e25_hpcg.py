@@ -6,8 +6,8 @@ The HPCG subsystem's two quantitative claims, pinned in one run over the
 * **preconditioner quality** -- geometric multigrid must converge in
   measurably fewer CG iterations than Jacobi (HPCG's whole point: the
   V-cycle wipes out the smooth error modes a diagonal scale cannot see).
-  The deterministic iteration ratio ``mg / jacobi`` is the number CI
-  guards.
+  The exact counts (mg 12, jacobi 24 here) are pinned in
+  ``tests/test_multigrid.py``; this run asserts mg < jacobi.
 * **phase decomposition** -- an HPCG-style timing split (setup / SpMV /
   MG / dot) per configuration, so the cost of the V-cycle and of the
   superaccumulator dots is visible rather than folded into one total.
@@ -16,16 +16,14 @@ The reproducible run is also checked for its defining property here:
 its per-iteration scalars are *bitwise identical* across p in {1, 4} --
 the cheap end of the full matrix ``tests/test_hpcg_bitwise.py`` pins.
 
-Machine-readable results go to ``BENCH_e25.json``;
-``scripts/check_e25_regression.py`` fails CI if the iteration ratio
-worsens by more than 20% against the committed baseline or if MG ever
-needs as many iterations as Jacobi.
+The CI ``hpcg-reproducible`` job runs this module and its asserts; the
+phase columns are wall clock and not diffed.
 """
 
 import numpy as np
 import pytest
 
-from _harness import record_json, record_table
+from _harness import record_table
 from repro.analysis import Table
 from repro.hpcg import hpcg_solve
 
@@ -55,7 +53,6 @@ def test_e25_hpcg_phases(benchmark):
     mg_iters = runs["mg"].iterations
     jacobi_iters = runs["jacobi"].iterations
     assert mg_iters < jacobi_iters
-    iter_ratio = mg_iters / jacobi_iters
 
     # reproducible scalars: bitwise invariant to rank count
     repro1 = _run("mg", reproducible=True, nprocs=1)
@@ -71,7 +68,6 @@ def test_e25_hpcg_phases(benchmark):
          "resid"],
         title=f"E25  HPCG phases (stencil27 {SHAPE}^3, P={NPROCS})",
     )
-    payload_runs = {}
     for label, res in runs.items():
         ph = _phases(res)
         t.add_row(
@@ -79,12 +75,6 @@ def test_e25_hpcg_phases(benchmark):
             f"{ph['spmv']:.3f}", f"{ph['mg']:.3f}", f"{ph['dot']:.3f}",
             f"{res.history.residual_norms[-1]:.2e}",
         )
-        payload_runs[label] = {
-            "iterations": res.iterations,
-            "converged": bool(res.converged),
-            "phase_seconds": ph,
-            "final_residual": float(res.history.residual_norms[-1]),
-        }
     record_table(
         "e25_hpcg", t,
         notes="MG trades per-iteration V-cycle work for a large drop in "
@@ -92,16 +82,3 @@ def test_e25_hpcg_phases(benchmark):
         "tax in the dot phase and buys bitwise invariance to rank count, "
         "fusion and substrate.",
     )
-    record_json("e25", {
-        "experiment": "e25_hpcg_phases",
-        "problem": {
-            "matrix": f"stencil27 {SHAPE}^3",
-            "n": SHAPE ** 3,
-            "shape": [SHAPE, SHAPE, SHAPE],
-        },
-        "nprocs": NPROCS,
-        "mg_depth": runs["mg"].extras["hpcg"]["mg_depth"],
-        "runs": payload_runs,
-        "iteration_ratio_mg_vs_jacobi": iter_ratio,
-        "reproducible_bitwise_p_invariant": True,
-    })

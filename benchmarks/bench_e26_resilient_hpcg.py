@@ -8,7 +8,8 @@ number is a property of the code, not of the host):
   fault-free resilient solve reproduces the plain solve's solution
   *bitwise* at every checkpoint interval, and its simulated-time overhead
   (checkpoint memory traffic + audit SpMVs + reductions) shrinks as the
-  interval grows.  The interval-5 overhead ratio is the number CI guards.
+  interval grows.  The table prints every ratio at full precision, so
+  CI's byte-diff of it pins them exactly.
 * **the durable store is a true drop-in** -- journalling checkpoints
   through :class:`~repro.backend.store.DurableCheckpointStore` (atomic
   records, CRC, manifest) changes nothing observable: same solution bits,
@@ -20,10 +21,8 @@ number is a property of the code, not of the host):
   converged **bitwise-equal** to the fault-free reference or failed with
   a classified error.
 
-Machine-readable results go to ``BENCH_e26.json``;
-``scripts/check_e26_regression.py`` fails CI if parity or the contract
-breaks, or if the interval-5 overhead ratio worsens by more than 20%
-against the committed baseline.
+Parity, store equivalence and the contract are asserts here; CI runs
+this module and byte-diffs ``e26_resilient_hpcg.txt``.
 """
 
 import tempfile
@@ -31,7 +30,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from _harness import record_json, record_table
+from _harness import record_table
 from repro.analysis import Table
 from repro.backend.chaos import chaos_sweep
 from repro.backend.store import DurableCheckpointStore
@@ -73,10 +72,10 @@ def test_e26_resilient_hpcg(benchmark):
     sweep = {}
     for interval in INTERVALS:
         res = _resilient(interval)
-        assert res.converged
+        assert res.converged and res.iterations == plain.iterations
         bitwise = bool(np.array_equal(res.x, plain.x))
         assert bitwise, f"interval={interval} perturbed the solution"
-        sweep[str(interval)] = {
+        sweep[interval] = {
             "iterations": res.iterations,
             "sim_time_ratio": res.machine_elapsed / plain.machine_elapsed,
             "message_ratio": res.comm["messages"] / plain.comm["messages"],
@@ -120,10 +119,10 @@ def test_e26_resilient_hpcg(benchmark):
                f"{SHAPE[0]}^3, P={NPROCS}, {PRECOND}, reproducible)"),
     )
     for interval in INTERVALS:
-        row = sweep[str(interval)]
+        row = sweep[interval]
         t.add_row(
             interval, row["iterations"], row["checkpoints"], row["audits"],
-            f"{row['sim_time_ratio']:.3f}", f"{row['message_ratio']:.3f}",
+            repr(row["sim_time_ratio"]), repr(row["message_ratio"]),
             "yes" if row["bitwise_equal_to_plain"] else "NO",
         )
     record_table(
@@ -135,27 +134,3 @@ def test_e26_resilient_hpcg(benchmark):
         f"Durable-store parity: {durable_matches}; chaos contract "
         f"(stencil27/mg, ABFT, bitwise): {ok}/{len(outcomes)}.",
     )
-    record_json("e26", {
-        "experiment": "e26_resilient_hpcg",
-        "problem": {
-            "matrix": f"stencil27 {SHAPE[0]}^3",
-            "n": int(np.prod(SHAPE)),
-            "shape": list(SHAPE),
-            "precond": PRECOND,
-        },
-        "nprocs": NPROCS,
-        "plain_iterations": plain.iterations,
-        "overhead_by_interval": sweep,
-        "durable_store_matches_memory": durable_matches,
-        "chaos": {
-            "scenario": "stencil27",
-            "precond": "mg",
-            "seeds": list(CHAOS_SEEDS),
-            "ok_runs": ok,
-            "total_runs": len(outcomes),
-            "bitwise": all(
-                o.max_abs_err == 0.0 for o in outcomes
-                if o.outcome in ("converged", "degraded")
-            ),
-        },
-    })

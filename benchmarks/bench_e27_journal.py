@@ -11,7 +11,7 @@ two numbers:
   writes exactly 3 records per job; with ``fsync=False`` (the bench and
   test policy the checkpoint store documents; records still survive
   process kill) the journaled stream must keep **>= 0.9x** the
-  unjournaled solves/sec -- at most 10%% overhead.  ``fsync=True``
+  unjournaled solves/sec -- at most 10% overhead.  ``fsync=True``
   (power-loss durability) is reported informationally: its cost is the
   disk's flush latency, not the journal's bookkeeping.
 * **replay cost** -- time for a fresh :class:`JobJournal` to load and
@@ -21,9 +21,8 @@ two numbers:
 
 Paths are interleaved per trial (A/B/A/B, best-of over trials) so a
 transient host stall cannot charge one path with the other's noise.
-Machine-readable results go to ``BENCH_e27.json``; the CI
-``service-crash-replay`` job re-runs this benchmark and
-``scripts/check_e27_regression.py`` enforces the 10%% gate.
+The CI ``service-crash-replay`` job re-runs this benchmark; the assert at
+its end is the 10% gate.
 """
 
 import time
@@ -31,7 +30,7 @@ import time
 import numpy as np
 import pytest
 
-from _harness import record_json, record_table
+from _harness import record_table
 from repro.analysis import Table
 from repro.backend import process_backend_support
 from repro.core import StoppingCriterion
@@ -147,35 +146,6 @@ def test_e27_journal_overhead(benchmark, tmp_path):
         "fsync=True additionally survives power loss and pays the "
         "disk's flush latency per record.",
     )
-    record_json("e27", {
-        "experiment": "e27_journal_overhead",
-        "problem": {"matrix": f"poisson1d n={N}", "n": N},
-        "criterion": {"rtol": CRIT.rtol, "maxiter": CRIT.maxiter},
-        "nprocs": NPROCS,
-        "jobs": JOBS,
-        "trials": TRIALS,
-        "start_method": START,
-        "no_journal": {
-            "elapsed_s": best["plain"],
-            "solves_per_sec": plain_rate,
-        },
-        "journal_nofsync": {
-            "elapsed_s": best["journal"],
-            "solves_per_sec": journal_rate,
-            "relative_throughput": relative,
-            "overhead_pct": overhead_pct,
-        },
-        "journal_fsync": {
-            "elapsed_s": best["fsync"],
-            "solves_per_sec": fsync_rate,
-            "relative_throughput": fsync_relative,
-        },
-        "replay": [
-            {"records": records, "elapsed_s": elapsed,
-             "records_per_sec": records / elapsed}
-            for records, elapsed in replay
-        ],
-    })
 
     # the acceptance gate: durability must not tax the warm pool >10%
     assert relative >= 0.9, (

@@ -21,8 +21,9 @@ import numpy as np
 
 from ..backend.base import ExecutionBackend, RunOptions
 from ..backend.solve import _resilient_solve, _wants_recovery, make_backend
+from ..core.driver import assemble_backend_result
 from ..core.resilience import ResilienceConfig
-from ..core.result import ConvergenceHistory, SolveResult
+from ..core.result import SolveResult
 from ..core.stopping import StoppingCriterion
 from ..hpf.distribution import Grid3DBlock
 from ..machine.faults import FaultPlan
@@ -36,50 +37,18 @@ __all__ = ["hpcg_solve", "assemble_hpcg_result"]
 def assemble_hpcg_result(run, n: int, layout: Grid3DBlock) -> SolveResult:
     """Build a :class:`SolveResult` from an HPCG backend run.
 
-    Per-rank results follow the HPCG convention ``(x_block, residuals,
-    converged, iterations, extras)``; blocks land in the global vector via
-    the subcube layout's index map.  The rank-0 ``extras`` (scalar
-    trajectory, halo stats, phase timings) are merged into
-    ``SolveResult.extras``.
+    :func:`~repro.core.driver.assemble_backend_result` with two HPCG
+    differences: blocks land in the global vector via the subcube layout's
+    index map, and the rank-0 ``extras`` (scalar trajectory, halo stats,
+    phase timings) become ``SolveResult.extras["hpcg"]``.
     """
+    result = assemble_backend_result(run, solver="hpcg", n=n)
     x = np.zeros(n)
     for rank, res in enumerate(run.results):
         x[layout.local_indices_cached(rank)] = res[0]
-    residuals, converged, iterations = (
-        run.results[0][1],
-        run.results[0][2],
-        run.results[0][3],
-    )
-    history = ConvergenceHistory()
-    for rnorm in residuals:
-        history.append(rnorm)
-    flops = run.stats.flops_per_rank
-    mean_flops = flops.mean() if flops.size else 0.0
-    extras = {
-        "backend": run.backend,
-        "nprocs": run.nprocs,
-        "timings": dict(run.timings),
-        "per_rank": [dict(p) for p in run.per_rank],
-        "flops_per_rank": flops,
-        "load_imbalance": float(flops.max() / mean_flops) if mean_flops else 1.0,
-        "hpcg": dict(run.results[0][4]),
-    }
-    return SolveResult(
-        x=x,
-        converged=converged,
-        iterations=iterations,
-        history=history,
-        solver="hpcg",
-        strategy="spmd_message_passing",
-        machine_elapsed=run.elapsed,
-        comm={
-            "messages": run.stats.total_messages,
-            "words": run.stats.total_words,
-            "comm_time": run.stats.comm_time,
-            "flops": run.stats.total_flops,
-        },
-        extras=extras,
-    )
+    result.x = x
+    result.extras["hpcg"] = dict(run.results[0][4])
+    return result
 
 
 def hpcg_solve(

@@ -252,6 +252,28 @@ def circuit_nodal(n_nodes: int, avg_degree: float = 4.0, seed: int = 0) -> CSRMa
     return COOMatrix(rows, cols, data, (n_nodes, n_nodes)).to_csr()
 
 
+def _with_dominant_diagonal(coo: COOMatrix, shift: float) -> CSRMatrix:
+    """CSR of ``coo`` plus the diagonal ``sum_j |a_ij| + shift`` in each row.
+
+    ``coo`` is canonical (row-major, duplicates summed) and holds no
+    ``i == j`` entry, so each row's diagonal slots in at its sorted position:
+    nothing merges and nothing is sorted again.
+    """
+    n = coo.nrows
+    abs_sums = np.zeros(n)
+    np.add.at(abs_sums, coo.rows, np.abs(coo.data))
+    d = np.arange(n)
+    at = np.searchsorted(coo.rows * n + coo.cols, d * n + d)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(coo.rows, minlength=n) + 1, out=indptr[1:])
+    return CSRMatrix(
+        indptr,
+        np.insert(coo.cols, at, d),
+        np.insert(coo.data, at, abs_sums + shift),
+        shape=(n, n),
+    )
+
+
 def random_sparse_symmetric(
     n: int, nnz_per_row: float = 5.0, seed: int = 0, spd_shift: bool = True
 ) -> CSRMatrix:
@@ -275,15 +297,7 @@ def random_sparse_symmetric(
     data = np.concatenate([v, v])
     coo = COOMatrix(rows, cols, data, (n, n))
     if spd_shift:
-        abs_sums = np.zeros(n)
-        np.add.at(abs_sums, coo.rows, np.abs(coo.data))
-        drows = np.arange(n)
-        coo = COOMatrix(
-            np.concatenate([coo.rows, drows]),
-            np.concatenate([coo.cols, drows]),
-            np.concatenate([coo.data, abs_sums + 1.0]),
-            (n, n),
-        )
+        return _with_dominant_diagonal(coo, 1.0)
     return coo.to_csr()
 
 
@@ -307,17 +321,7 @@ def nas_cg_style(n: int, nnz_per_row: int = 7, seed: int = 0) -> CSRMatrix:
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     data = np.concatenate([v, v])
-    coo = COOMatrix(rows, cols, data, (n, n))
-    abs_sums = np.zeros(n)
-    np.add.at(abs_sums, coo.rows, np.abs(coo.data))
-    drows = np.arange(n)
-    coo = COOMatrix(
-        np.concatenate([coo.rows, drows]),
-        np.concatenate([coo.cols, drows]),
-        np.concatenate([coo.data, abs_sums + 0.1]),
-        (n, n),
-    )
-    return coo.to_csr()
+    return _with_dominant_diagonal(COOMatrix(rows, cols, data, (n, n)), 0.1)
 
 
 def irregular_powerlaw(
@@ -352,17 +356,8 @@ def irregular_powerlaw(
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     data = -np.ones(rows.size)
-    coo = COOMatrix(rows, cols, data, (n, n))
-    deg = np.zeros(n)
-    np.add.at(deg, coo.rows, -coo.data)
-    drows = np.arange(n)
-    coo = COOMatrix(
-        np.concatenate([coo.rows, drows]),
-        np.concatenate([coo.cols, drows]),
-        np.concatenate([coo.data, deg + 1.0]),
-        (n, n),
-    )
-    return coo.to_csr()
+    # every summed entry is negative, so |off-diagonal| sums are degrees
+    return _with_dominant_diagonal(COOMatrix(rows, cols, data, (n, n)), 1.0)
 
 
 def matrix_with_eigenvalues(eigenvalues: Sequence[float], seed: int = 0) -> DenseMatrix:
@@ -410,16 +405,7 @@ def nonsymmetric_diag_dominant(
     mask = i != j
     i, j = i[mask], j[mask]
     v = rng.uniform(-1.0, 1.0, size=i.size)
-    coo = COOMatrix(i, j, v, (n, n))
-    abs_sums = np.zeros(n)
-    np.add.at(abs_sums, coo.rows, np.abs(coo.data))
-    d = np.arange(n)
-    return COOMatrix(
-        np.concatenate([coo.rows, d]),
-        np.concatenate([coo.cols, d]),
-        np.concatenate([coo.data, abs_sums + 1.0]),
-        (n, n),
-    ).to_csr()
+    return _with_dominant_diagonal(COOMatrix(i, j, v, (n, n)), 1.0)
 
 
 def rhs_for_solution(matrix, x_true: np.ndarray) -> np.ndarray:

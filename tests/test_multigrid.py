@@ -107,14 +107,26 @@ class TestMgAcceleratesCg:
         assert np.allclose(res.x, xt, atol=1e-5)
         assert res.extras["preconditioner"] == "mg"
 
+    # exact CG iterations per cube side and preconditioner, the same at
+    # p = 1 and 4.  stencil27's diagonal is the constant 26, so Jacobi is a
+    # scaled identity and needs exactly the unpreconditioned count: the
+    # order is mg < jacobi <= none, and jacobi < none cannot hold.
+    HPCG_ITERATIONS = {
+        8: {"none": 12, "jacobi": 12, "mg": 7},
+        16: {"none": 24, "jacobi": 24, "mg": 12},
+    }
+    MG_DEPTH = {8: 3, 16: 4}
+
     @pytest.mark.parametrize("p", [1, 4])
     def test_hpcg_solve_mg_beats_jacobi(self, p):
-        res_mg = hpcg_solve(8, nprocs=p, precond="mg")
-        res_j = hpcg_solve(8, nprocs=p, precond="jacobi")
-        assert res_mg.converged and res_j.converged
-        assert res_mg.iterations < res_j.iterations
-        assert res_mg.extras["hpcg"]["mg_depth"] == 3
-        assert res_mg.extras["hpcg"]["mg_flops_per_apply"] > 0
+        for shape, expected in self.HPCG_ITERATIONS.items():
+            runs = {precond: hpcg_solve(shape, nprocs=p, precond=precond)
+                    for precond in expected}
+            assert all(res.converged for res in runs.values())
+            assert {k: res.iterations for k, res in runs.items()} == expected
+            hpcg = runs["mg"].extras["hpcg"]
+            assert hpcg["mg_depth"] == self.MG_DEPTH[shape]
+            assert hpcg["mg_flops_per_apply"] > 0
 
 
 # ------------------------------------------------------------------ #

@@ -176,3 +176,31 @@ class TestSortKeyBound:
         assert m.rows.tolist() == [1, 5, 5]
         assert m.cols.tolist() == [7, 1, 2]
         assert m.data.tolist() == [2.0, 3.0, 1.0]
+
+
+class TestDominantDiagonal:
+    """Each row's diagonal slots in at its sorted position: the same trio
+    as appending the diagonal to the triples and sorting them again."""
+
+    @staticmethod
+    def appended(coo, shift):
+        abs_sums = np.zeros(coo.nrows)
+        np.add.at(abs_sums, coo.rows, np.abs(coo.data))
+        d = np.arange(coo.nrows)
+        return COOMatrix(
+            np.concatenate([coo.rows, d]),
+            np.concatenate([coo.cols, d]),
+            np.concatenate([coo.data, abs_sums + shift]),
+            coo.shape,
+        ).to_csr()
+
+    # few triples per row leave empty rows first, last and in between
+    @pytest.mark.parametrize("n,m,seed", [
+        (1, 0, 0), (6, 0, 0), (6, 3, 1), (50, 40, 2), (400, 3000, 3)])
+    def test_matches_append_and_sort(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+        off = i != j
+        coo = COOMatrix(i[off], j[off], rng.uniform(-1, 1, off.sum()), (n, n))
+        got = gen._with_dominant_diagonal(coo, 0.1)
+        assert _digest(got) == _digest(self.appended(coo, 0.1))
