@@ -11,10 +11,10 @@ number is a property of the code, not of the host):
   interval grows.  The table prints every ratio at full precision, so
   CI's byte-diff of it pins them exactly.
 * **the durable store is a true drop-in** -- journalling checkpoints
-  through :class:`~repro.backend.store.DurableCheckpointStore` (atomic
-  records, CRC, manifest) changes nothing observable: same solution bits,
-  same iteration count, same checkpoint set as the in-memory dict store,
-  and zero leftover tmp files.
+  through :class:`~repro.backend.store.DurableCheckpointStore` (one
+  append-only, CRC-framed log) changes nothing observable: same solution
+  bits, same iteration count, same checkpoint set as the in-memory dict
+  store, and the directory holds exactly the one log.
 * **the chaos contract holds on the HPCG workload** -- a seeded sweep of
   message faults, state corruptions and crashes over ``stencil27``/``mg``
   with ABFT armed and reproducible reductions must end every run either
@@ -25,6 +25,7 @@ Parity, store equivalence and the contract are asserts here; CI runs
 this module and byte-diffs ``e26_resilient_hpcg.txt``.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_e26_resilient_hpcg(benchmark):
             bool(np.array_equal(mem.x, dur.x))
             and mem.iterations == dur.iterations
             and sorted(mem_store) == sorted(durable_store)
-            and durable_store.tmp_files() == []
+            and os.listdir(root) == ["checkpoints.log"]
         )
     assert durable_matches
 

@@ -2,9 +2,9 @@
 
 PR 9 makes the service's accepted work survive a dead driver by
 journaling every job lifecycle transition (``accepted`` / ``dispatched``
-/ terminal) as one crash-safe record.  Durability that taxes the warm
-pool's throughput advantage (E24) would defeat the point, so E27 pins
-two numbers:
+/ terminal) as one crash-safe frame appended to one CRC-framed log.
+Durability that taxes the warm pool's throughput advantage (E24) would
+defeat the point, so E27 pins two numbers:
 
 * **journal overhead** -- the same warm-pool job stream as E24 through
   :class:`SolverService` with and without a journal.  The happy path
@@ -141,7 +141,8 @@ def test_e27_journal_overhead(benchmark, tmp_path):
     record_table(
         "e27_journal", t,
         notes="The happy path journals 3 records/job (accepted, "
-        "dispatched, terminal), each an atomic tmp+rename publish.  "
+        "dispatched, terminal), each one CRC-framed append to the "
+        "journal's log.  "
         "fsync=False survives process kill (the replay contract); "
         "fsync=True additionally survives power loss and pays the "
         "disk's flush latency per record.",

@@ -1,26 +1,28 @@
-"""Shared crash-safe record plumbing: CRC32 framing + atomic publication.
+"""Shared crash-safe record plumbing: one append-only, CRC32-framed log.
 
 Two on-disk journals in this codebase need the same guarantees — the
-per-``(iteration, rank)`` checkpoint records of
-:class:`~repro.backend.store.DurableCheckpointStore` and the job
-lifecycle records of :class:`~repro.service.journal.JobJournal` — so the
-guarantees live here once:
+checkpoint records of :class:`~repro.backend.store.DurableCheckpointStore`
+and the job lifecycle records of :class:`~repro.service.journal.JobJournal`
+— so the guarantees live here once, in :class:`RecordLog`:
 
-* **framing** (:class:`RecordCodec`): every record is ``magic`` + an
-  optional fixed-width key header + a ``(length, CRC32)`` frame + the
-  pickled payload.  Decoding returns ``None`` for anything torn,
-  truncated, bit-flipped or length-spoofed, so loaders *skip* damage
-  instead of crashing on it;
-* **publication** (:func:`atomic_write`): data goes to a ``.tmp-``
-  sibling, is flushed (``fsync`` optional), then renamed into place with
-  ``os.replace`` — a SIGKILL at any instant leaves either a complete
-  checksummed record or an unpublished tmp file, never a half-visible
-  one.  :func:`sweep_tmp` removes the leftovers on the next open.
+* **framing**: every record is one frame, ``magic`` + ``(length, CRC32)``
+  + the pickled body, written by a single ``os.write`` to a file opened
+  ``O_APPEND``.  Whatever identifies a record lives in its body; the log
+  order is the record order.
+* **durability**: ``fsync=True`` follows each write with one ``fsync``
+  of the log (and syncs the directory once, when the log is created), so
+  a record survives power loss once the append returns; ``fsync=False``
+  still survives process kill.
+* **replay** streams the log frame by frame.  A frame that does not
+  verify (torn, bit-flipped, length-spoofed, unpicklable) is skipped by
+  scanning forward to the next magic that starts a frame that does, and
+  its offset is kept in ``skipped``.  When no later frame verifies, the
+  bad bytes are a torn tail — a write cut short — and the next append
+  truncates them before writing.
 
-The byte layout is pickled little-endian structs with no padding, so a
-codec with key format ``"qq"`` produces exactly the bytes the historic
-``"<qqQI"`` checkpoint header produced — extracting the codec changed no
-on-disk format.
+The per-record files of the earlier layout (one ``*.rec`` file each,
+published by tmp+rename) are not read: a directory that still holds one
+is refused with a ``ValueError`` rather than replayed as an empty state.
 """
 
 from __future__ import annotations
@@ -29,69 +31,17 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, List, Optional
 
-__all__ = ["RecordCodec", "atomic_write", "fsync_dir", "sweep_tmp"]
+__all__ = ["RecordLog"]
 
-#: suffixed frame carried by every record: payload length, payload CRC32
+#: frame header after the magic: payload length, payload CRC32
 _FRAME = struct.Struct("<QI")
+_SCAN = 1 << 16  # bytes read per step while scanning for the next magic
 
 
-class RecordCodec:
-    """Encode/decode one framed record kind.
-
-    ``magic`` discriminates record kinds (a store record never decodes as
-    a journal record); ``key_format`` is an optional :mod:`struct` field
-    list (little-endian, no ``<`` prefix) packed between the magic and
-    the frame — e.g. ``"qq"`` for the checkpoint store's
-    ``(iteration, rank)`` key.
-    """
-
-    def __init__(self, magic: bytes, key_format: str = ""):
-        if not magic:
-            raise ValueError("magic must be non-empty")
-        self.magic = bytes(magic)
-        self._key = struct.Struct("<" + key_format) if key_format else None
-        self._head = len(self.magic) + (
-            self._key.size if self._key else 0
-        )
-
-    def encode(self, payload: Any, *key: int) -> bytes:
-        """Frame ``payload`` (pickled) under ``key`` fields."""
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        head = self._key.pack(*key) if self._key else b""
-        return (
-            self.magic + head + _FRAME.pack(len(body), zlib.crc32(body))
-            + body
-        )
-
-    def decode(self, raw: bytes) -> Optional[Tuple[tuple, Any]]:
-        """``(key_fields, payload)``, or ``None`` if torn/corrupt."""
-        if not raw.startswith(self.magic):
-            return None
-        head = raw[len(self.magic):self._head]
-        frame = raw[self._head:self._head + _FRAME.size]
-        if self._key and len(head) < self._key.size:
-            return None
-        if len(frame) < _FRAME.size:
-            return None
-        length, crc = _FRAME.unpack(frame)
-        body = raw[self._head + _FRAME.size:]
-        if len(body) != length or zlib.crc32(body) != crc:
-            return None
-        try:
-            payload = pickle.loads(body)
-        except Exception:
-            return None
-        key = self._key.unpack(head) if self._key else ()
-        return key, payload
-
-
-# ---------------------------------------------------------------------- #
-# atomic publication
-# ---------------------------------------------------------------------- #
-def fsync_dir(path: str) -> None:
-    """fsync a directory so a just-renamed entry survives power loss."""
+def _fsync_dir(path: str) -> None:
+    """fsync a directory so a just-created entry survives power loss."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform quirk
@@ -104,34 +54,109 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def atomic_write(dirpath: str, name: str, data: bytes,
-                 fsync: bool = True) -> None:
-    """Publish ``dirpath/name`` atomically via a ``.tmp-`` sibling.
+class RecordLog:
+    """The log ``dirpath/name``: append payloads, replay the ones that verify.
 
-    ``fsync=True`` syncs the file before the rename and the directory
-    after it (survives power loss); ``fsync=False`` still survives
-    process kill.
+    ``magic`` discriminates record kinds, so two logs with distinct
+    names and magics can share one directory.
     """
-    tmp = os.path.join(dirpath, f".tmp-{name}-{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, os.path.join(dirpath, name))
-    if fsync:
-        fsync_dir(dirpath)
 
+    def __init__(self, dirpath: str, name: str, magic: bytes,
+                 fsync: bool = True):
+        os.makedirs(dirpath, exist_ok=True)
+        for entry in sorted(os.listdir(dirpath)):
+            if entry.endswith(".rec"):
+                raise ValueError(
+                    f"{dirpath!r} holds {entry!r}, a record file of the "
+                    f"per-record layout; this version replays only the "
+                    f"append-only log {name!r}")
+        self.dir = dirpath
+        self.path = os.path.join(dirpath, name)
+        self.magic = bytes(magic)
+        self.fsync = bool(fsync)
+        #: byte offsets of frames that failed verification on replay
+        self.skipped: List[int] = []
+        self._exists = os.path.exists(self.path)
+        self._torn: Optional[int] = None  # offset to truncate to
 
-def sweep_tmp(dirpath: str) -> list:
-    """Remove leftover ``.tmp-*`` files (kill mid-write); returns names."""
-    swept = []
-    for name in sorted(os.listdir(dirpath)):
-        if not name.startswith(".tmp-"):
-            continue
+    def append(self, payload: Any) -> None:
+        """Write ``payload`` as one frame; durable when this returns."""
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = self.magic + _FRAME.pack(len(body), zlib.crc32(body)) + body
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            os.unlink(os.path.join(dirpath, name))
-        except OSError:  # pragma: no cover - races with another sweeper
-            continue
-        swept.append(name)
-    return swept
+            if self._torn is not None:
+                os.ftruncate(fd, self._torn)
+                self._torn = None
+            if os.write(fd, frame) != len(frame):
+                raise OSError(f"short write appending to {self.path!r}")
+            if self.fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        if not self._exists:
+            self._exists = True
+            if self.fsync:
+                _fsync_dir(self.dir)
+
+    def replay(self) -> Iterator[Any]:
+        """Yield every verified payload in log order, streaming the file."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            pos, bad = 0, None
+            while pos < size:
+                frame = self._frame_at(fh, pos, size)
+                if frame is None:
+                    bad = pos if bad is None else bad
+                    pos = self._next_magic(fh, pos + 1)
+                    if pos < 0:
+                        break
+                    continue
+                if bad is not None:
+                    self.skipped.append(bad)
+                    bad = None
+                payload, pos = frame
+                yield payload
+            if bad is not None:  # nothing after it verifies: a torn tail
+                self.skipped.append(bad)
+                self._torn = bad
+
+    def _frame_at(self, fh, pos: int, size: int):
+        """``(payload, end offset)`` of a verified frame at ``pos``, else None."""
+        head = len(self.magic) + _FRAME.size
+        if pos + head > size:
+            return None
+        fh.seek(pos)
+        raw = fh.read(head)
+        if not raw.startswith(self.magic):
+            return None
+        length, crc = _FRAME.unpack_from(raw, len(self.magic))
+        if length > size - pos - head:
+            return None
+        body = fh.read(length)
+        if zlib.crc32(body) != crc:
+            return None
+        try:
+            return pickle.loads(body), pos + head + length
+        except Exception:
+            return None
+
+    def _next_magic(self, fh, start: int) -> int:
+        """Offset of the first ``magic`` at or after ``start``, or -1."""
+        keep = len(self.magic) - 1
+        fh.seek(start)
+        window, base = b"", start
+        while True:
+            block = fh.read(_SCAN)
+            if not block:
+                return -1
+            window += block
+            hit = window.find(self.magic)
+            if hit >= 0:
+                return base + hit
+            cut = max(len(window) - keep, 0)
+            base, window = base + cut, window[cut:]

@@ -8,67 +8,41 @@ publish snapshots with
     store.setdefault(iteration, {})[rank] = payload
 
 so the store hands out *live* per-iteration views whose ``__setitem__``
-journals the record to disk before updating the in-memory mirror.  The
-write path is crash-safe at every point:
+journals the record to disk before updating the in-memory mirror.
 
-* each ``(iteration, rank)`` snapshot is one record file, written to a
-  ``.tmp-``-prefixed sibling, flushed (``fsync`` by default), then
-  published with an atomic ``os.replace`` -- a SIGKILL mid-write leaves
-  only a tmp file, never a half-visible record;
-* every record carries a magic string, a fixed header and a CRC32 of the
-  pickled payload, so torn or bit-flipped records are detected and
-  *skipped* on load instead of poisoning recovery;
-* a ``manifest.json`` (itself written atomically) records the expected
-  record set per iteration.  The manifest is advisory: a valid record
-  missing from the manifest (kill between record rename and manifest
-  rewrite) still loads, and a manifest entry whose record is gone is
-  ignored.
+Every edit is one frame of the append-only log ``checkpoints.log``
+(:class:`~repro.backend.records.RecordLog`): a rank write, an iteration
+assigned whole, a rank or iteration deleted, a ``clear()``.  Deletes and
+clears are tombstone frames, and the store is the fold of the log, so an
+edit is on disk entirely or not at all: a SIGKILL mid-write leaves a torn
+tail that the next open skips and the next append truncates.  Frames are
+CRC32-checked, and one that fails is skipped (its offset lands in
+``skipped_records``) instead of poisoning recovery.
 
-Because iteration completeness is judged record-by-record,
+Because iteration completeness is judged rank by rank,
 :func:`repro.core.resilience.latest_complete_checkpoint` gives the same
 answer to a fresh process re-opening the directory as it gave to the
 process that died -- the property the driver-restart recovery path and
-the ``SolverService`` rely on.
+the ``SolverService`` rely on.  An iteration with no rank is kept in
+memory only; it holds no checkpoint.
 
-Fsync policy: ``fsync=True`` (the default) syncs the record file before
-the rename and the directory after it, making a published record survive
-power loss; ``fsync=False`` trades that for speed and still survives
-process kill (the kernel eventually writes the renamed file).  Tests and
+Fsync policy: ``fsync=True`` (the default) syncs the log after every
+frame, making a written record survive power loss; ``fsync=False``
+trades that for speed and still survives process kill.  Tests and
 benches use ``fsync=False``; services should keep the default.
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
-from typing import Any, Dict, Iterator, MutableMapping, Optional
+from typing import Any, Dict, Iterator, MutableMapping
 
-from .records import RecordCodec, atomic_write, sweep_tmp
+from .records import RecordLog
 
 __all__ = ["DurableCheckpointStore"]
 
 _MAGIC = b"RPCKPT1\n"
-# key = iteration (int64), rank (int64); the codec appends the
-# (length, CRC32) frame -- byte-identical to the historic "<qqQI" header
-_CODEC = RecordCodec(_MAGIC, "qq")
-
-
-def _record_name(iteration: int, rank: int) -> str:
-    return f"ckpt-{iteration:08d}-{rank:05d}.rec"
-
-
-def _encode_record(iteration: int, rank: int, payload: Any) -> bytes:
-    return _CODEC.encode(payload, iteration, rank)
-
-
-def _decode_record(raw: bytes) -> Optional[tuple]:
-    """Return ``(iteration, rank, payload)`` or ``None`` if torn/corrupt."""
-    decoded = _CODEC.decode(raw)
-    if decoded is None:
-        return None
-    (iteration, rank), payload = decoded
-    return iteration, rank, payload
+_LOG = "checkpoints.log"
 
 
 class _IterationView(MutableMapping):
@@ -88,7 +62,9 @@ class _IterationView(MutableMapping):
         self._store._write_record(self._iteration, int(rank), payload)
 
     def __delitem__(self, rank: int) -> None:
-        self._store._delete_record(self._iteration, int(rank))
+        if rank not in self._ranks():
+            raise KeyError(rank)
+        self._store._edit("drop", self._iteration, int(rank))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._ranks())
@@ -101,75 +77,45 @@ class _IterationView(MutableMapping):
 
 
 class DurableCheckpointStore(MutableMapping):
-    """On-disk checkpoint store with atomic records and CRC validation.
+    """On-disk checkpoint store: the fold of one CRC-framed edit log.
 
     Maps ``iteration -> {rank: payload}`` exactly like the in-memory dict
-    store; re-opening the same directory reloads every intact record and
-    silently skips torn or corrupt ones.
+    store; re-opening the same directory replays every intact edit and
+    skips torn or corrupt ones.
     """
 
     def __init__(self, path: str, fsync: bool = True):
         self.path = os.fspath(path)
         self.fsync = bool(fsync)
-        os.makedirs(self.path, exist_ok=True)
         self._mem: Dict[int, Dict[int, Any]] = {}
-        self.skipped_records: list = []
-        self._load()
+        self._log = RecordLog(self.path, _LOG, _MAGIC, fsync=self.fsync)
+        for edit in self._log.replay():
+            self._apply(*edit)
+        #: byte offsets in the log of edits that failed verification
+        self.skipped_records = self._log.skipped
 
-    # ------------------------------------------------------------------ #
-    # disk plumbing
-    # ------------------------------------------------------------------ #
-    def _load(self) -> None:
-        # leftovers from a kill mid-write: never published, remove.
-        sweep_tmp(self.path)
-        for name in sorted(os.listdir(self.path)):
-            full = os.path.join(self.path, name)
-            if not (name.startswith("ckpt-") and name.endswith(".rec")):
-                continue
-            try:
-                with open(full, "rb") as fh:
-                    raw = fh.read()
-            except OSError:
-                self.skipped_records.append(name)
-                continue
-            decoded = _decode_record(raw)
-            if decoded is None:
-                self.skipped_records.append(name)
-                continue
-            iteration, rank, payload = decoded
-            self._mem.setdefault(iteration, {})[rank] = payload
+    def _apply(self, op: str, iteration=None, rank=None, value=None) -> None:
+        if op == "put":
+            self._mem.setdefault(iteration, {})[rank] = value
+        elif op == "set":
+            self._mem[iteration] = dict(value)
+        elif op == "drop":
+            ranks = self._mem.get(iteration, {})
+            ranks.pop(rank, None)
+            if not ranks:
+                self._mem.pop(iteration, None)
+        elif op == "del":
+            self._mem.pop(iteration, None)
+        else:  # "clear"
+            self._mem.clear()
 
-    def _atomic_write(self, name: str, data: bytes) -> None:
-        atomic_write(self.path, name, data, fsync=self.fsync)
+    def _edit(self, *edit) -> None:
+        """Append one edit, then fold it into the in-memory mirror."""
+        self._log.append(edit)
+        self._apply(*edit)
 
     def _write_record(self, iteration: int, rank: int, payload: Any) -> None:
-        self._atomic_write(
-            _record_name(iteration, rank), _encode_record(iteration, rank, payload)
-        )
-        self._mem.setdefault(iteration, {})[rank] = payload
-        self._write_manifest()
-
-    def _delete_record(self, iteration: int, rank: int) -> None:
-        ranks = self._mem.get(iteration, {})
-        del ranks[rank]
-        if not ranks:
-            self._mem.pop(iteration, None)
-        try:
-            os.unlink(os.path.join(self.path, _record_name(iteration, rank)))
-        except FileNotFoundError:
-            pass
-        self._write_manifest()
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "version": 1,
-            "iterations": {
-                str(k): sorted(ranks) for k, ranks in sorted(self._mem.items())
-            },
-        }
-        buf = io.StringIO()
-        json.dump(manifest, buf, indent=0, sort_keys=True)
-        self._atomic_write("manifest.json", buf.getvalue().encode("utf-8"))
+        self._edit("put", iteration, rank, payload)
 
     # ------------------------------------------------------------------ #
     # MutableMapping interface (iteration -> {rank: payload})
@@ -180,24 +126,13 @@ class DurableCheckpointStore(MutableMapping):
         return _IterationView(self, iteration)
 
     def __setitem__(self, iteration: int, snaps: MutableMapping) -> None:
-        if iteration in self._mem:
-            del self[iteration]
-        iteration = int(iteration)
-        self._mem[iteration] = {}
-        for rank, payload in dict(snaps).items():
-            self._write_record(iteration, int(rank), payload)
-        if not self._mem[iteration]:
-            # an explicitly stored empty iteration still counts as a key
-            self._write_manifest()
+        snaps = {int(rank): payload for rank, payload in dict(snaps).items()}
+        self._edit("set", int(iteration), None, snaps)
 
     def __delitem__(self, iteration: int) -> None:
-        ranks = list(self._mem.pop(iteration))
-        for rank in ranks:
-            try:
-                os.unlink(os.path.join(self.path, _record_name(iteration, rank)))
-            except FileNotFoundError:
-                pass
-        self._write_manifest()
+        if iteration not in self._mem:
+            raise KeyError(iteration)
+        self._edit("del", iteration)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._mem)
@@ -208,20 +143,14 @@ class DurableCheckpointStore(MutableMapping):
     def setdefault(self, iteration: int, default=None) -> _IterationView:
         iteration = int(iteration)
         if iteration not in self._mem:
-            self._mem[iteration] = {}
-            for rank, payload in dict(default or {}).items():
-                self._write_record(iteration, int(rank), payload)
+            if default:
+                self[iteration] = default
+            else:
+                self._mem[iteration] = {}
         return _IterationView(self, iteration)
 
     def clear(self) -> None:
-        for iteration in list(self._mem):
-            del self[iteration]
-
-    def tmp_files(self) -> list:
-        """Leftover ``.tmp-*`` files (should always be empty)."""
-        return sorted(
-            n for n in os.listdir(self.path) if n.startswith(".tmp-")
-        )
+        self._edit("clear")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = {k: len(v) for k, v in sorted(self._mem.items())}

@@ -23,13 +23,14 @@ record, and a fresh service re-opening the same directory replays them:
   substrate — are quarantined instead of replayed, so a job that
   SIGKILLs the driver cannot crash-loop the service forever.
 
-Records reuse the checkpoint store's crash-safety recipe via
-:mod:`repro.backend.records`: each transition is one CRC32-framed,
-pickle-bodied file published by atomic tmp+fsync+rename, named by a
-monotonic sequence number (``jrn-<seq>.rec``) that totally orders the
-log.  Torn or bit-flipped records are skipped on load (collected in
-``skipped_records``), leftover tmp files are swept — exactly the
-store's guarantees, applied to service state.
+Records share the checkpoint store's crash-safety recipe via
+:class:`repro.backend.records.RecordLog`: each transition is one
+CRC32-framed, pickle-bodied frame appended to ``journal.log``, and the
+log order totally orders the records (a record's sequence number is its
+position among the frames that verify).  Torn or bit-flipped frames are
+skipped on load (their offsets collected in ``skipped_records``), and a
+torn tail is truncated before the next append — exactly the store's
+guarantees, applied to service state.
 
 **Condemnation evidence.**  "Crashing the pool" leaves two fingerprints
 in the journal: a failed ``attempt`` record flagged ``condemned`` (the
@@ -50,7 +51,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..backend.records import RecordCodec, atomic_write, sweep_tmp
+from ..backend.records import RecordLog
 
 __all__ = [
     "JobJournal",
@@ -66,7 +67,7 @@ __all__ = [
 ]
 
 _MAGIC = b"RPJRNL1\n"
-_CODEC = RecordCodec(_MAGIC, "q")  # key = sequence number (int64)
+_LOG = "journal.log"
 
 #: lifecycle events, in the order a job meets them
 ACCEPTED = "accepted"          #: admission succeeded; spec journaled
@@ -98,10 +99,6 @@ class JobQuarantinedError(RuntimeError):
         self.bound = bound
 
 
-def _record_name(seq: int) -> str:
-    return f"jrn-{seq:010d}.rec"
-
-
 @dataclass
 class JobState:
     """Folded per-key view of the journal: where one job stands."""
@@ -130,26 +127,25 @@ class JobState:
 class JobJournal:
     """Durable, totally-ordered log of job lifecycle transitions.
 
-    One record file per transition; ``fsync=True`` (the default) makes a
-    published record survive power loss, ``fsync=False`` trades that for
+    One log frame per transition; ``fsync=True`` (the default) makes an
+    appended record survive power loss, ``fsync=False`` trades that for
     speed and still survives process kill (the policy split the
     checkpoint store documents).
 
     Thread-safe: the service appends from both the client thread
     (``submit`` journals ACCEPTED) and the dispatcher thread (dispatch /
-    attempt / terminal records), so sequence allocation, record
-    publication, and the folded-state dicts are all guarded by one lock.
-    Without it two appends could allocate the same seq and
-    ``os.replace`` would silently drop one of the records.
+    attempt / terminal records), so the append and the fold of the
+    folded-state dicts are guarded by one lock, and the log order is the
+    fold order.
     """
 
     def __init__(self, path: str, fsync: bool = True):
         self.path = os.fspath(path)
         self.fsync = bool(fsync)
-        os.makedirs(self.path, exist_ok=True)
-        self.skipped_records: List[str] = []
+        self._log = RecordLog(self.path, _LOG, _MAGIC, fsync=self.fsync)
+        #: byte offsets in the log of records that failed verification
+        self.skipped_records: List[int] = self._log.skipped
         self._states: Dict[str, JobState] = {}
-        self._next_seq = 0
         self._records = 0
         self._lock = threading.Lock()
         self._load()
@@ -158,35 +154,18 @@ class JobJournal:
     # load / fold
     # ------------------------------------------------------------------ #
     def _load(self) -> None:
-        sweep_tmp(self.path)
-        records = []
-        for name in sorted(os.listdir(self.path)):
-            if not (name.startswith("jrn-") and name.endswith(".rec")):
-                continue
-            try:
-                with open(os.path.join(self.path, name), "rb") as fh:
-                    raw = fh.read()
-            except OSError:
-                self.skipped_records.append(name)
-                continue
-            decoded = _CODEC.decode(raw)
-            if decoded is None:
-                self.skipped_records.append(name)
-                continue
-            (seq,), payload = decoded
-            records.append((seq, payload))
-        records.sort(key=lambda r: r[0])
-        for seq, payload in records:
-            self._fold(seq, payload)
-            self._records += 1
-            self._next_seq = max(self._next_seq, seq + 1)
+        for rec in self._log.replay():
+            self._fold(rec)
         # a dispatch still open at load end: the driver died mid-job
         for state in self._states.values():
             if state._dispatch_open and state.terminal is None:
                 state.condemnations += 1
                 state._dispatch_open = False
 
-    def _fold(self, seq: int, rec: Dict[str, Any]) -> None:
+    def _fold(self, rec: Dict[str, Any]) -> int:
+        """Fold one record; returns its sequence number."""
+        seq = self._records
+        self._records += 1
         key = rec["key"]
         state = self._states.get(key)
         if state is None:
@@ -214,6 +193,7 @@ class JobJournal:
             state.terminal = event
             state.result = rec.get("result")
             state._dispatch_open = False
+        return seq
 
     # ------------------------------------------------------------------ #
     # append
@@ -221,15 +201,8 @@ class JobJournal:
     def _append(self, event: str, key: str, **fields: Any) -> int:
         rec = {"event": event, "key": key, **fields}
         with self._lock:
-            seq = self._next_seq
-            self._next_seq += 1
-            atomic_write(
-                self.path, _record_name(seq), _CODEC.encode(rec, seq),
-                fsync=self.fsync,
-            )
-            self._fold(seq, rec)
-            self._records += 1
-        return seq
+            self._log.append(rec)
+            return self._fold(rec)
 
     def accepted(self, key: str, spec: Any) -> int:
         """WAL step one: the spec is on disk before the queue sees it."""
@@ -293,12 +266,6 @@ class JobJournal:
         with self._lock:
             state = self._states.get(key)
             return 0 if state is None else state.condemnations
-
-    def tmp_files(self) -> List[str]:
-        """Leftover ``.tmp-*`` files (should always be empty)."""
-        return sorted(
-            n for n in os.listdir(self.path) if n.startswith(".tmp-")
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

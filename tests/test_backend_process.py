@@ -141,7 +141,10 @@ def test_hard_timeout_kills_hanging_recv():
 
 
 @needs_process
-def test_parent_timeout_kills_sleeping_worker():
+def test_parent_timeout_kills_sleeping_worker(monkeypatch):
+    # the parent's deadline is timeout + grace; a short grace keeps the
+    # test from waiting out the production 5 s
+    monkeypatch.setattr("repro.backend.process._PARENT_GRACE", 0.2)
     with pytest.raises(BackendTimeoutError) as excinfo:
         ProcessBackend(timeout=1.0).run(SleepProgram(), nprocs=2)
     assert "ranks missing" in str(excinfo.value)

@@ -2,9 +2,10 @@
 
 The store must behave as a drop-in ``MutableMapping`` replacement for the
 plain dict checkpoint store (hypothesis drives both through the same
-operation sequences), and its on-disk journal must make
+operation sequences), and its on-disk log must make
 ``latest_complete_checkpoint`` give a fresh process the same answer the
-dead one had -- with torn and bit-flipped records skipped, never loaded.
+dead one had -- with torn, bit-flipped and spoofed frames skipped, never
+loaded.
 """
 
 import os
@@ -18,9 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend.solve import backend_solve
-from repro.backend.store import DurableCheckpointStore, _record_name
+from repro.backend.store import DurableCheckpointStore
 from repro.core.resilience import ResilienceConfig, latest_complete_checkpoint
 from repro.sparse.generators import poisson2d, rhs_for_solution
+
+_MAGIC = b"RPCKPT1\n"
+_LOG = "checkpoints.log"
 
 
 def _materialize(store):
@@ -103,7 +107,7 @@ def test_roundtrip_matches_dict_store(tmp_path, ops):
     reopened = DurableCheckpointStore(str(root), fsync=False)
     same(_materialize(reopened), plain)
     assert reopened.skipped_records == []
-    assert durable.tmp_files() == []
+    assert set(os.listdir(root)) <= {_LOG}
 
 
 def test_latest_complete_matches_dict_semantics(tmp_path):
@@ -123,85 +127,127 @@ def test_latest_complete_matches_dict_semantics(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# crash safety: torn / corrupt / leftover-tmp records
+# crash safety: torn / corrupt / spoofed frames in the log
 # ---------------------------------------------------------------------- #
+def _log_size(root):
+    return os.path.getsize(os.path.join(root, _LOG))
+
+
+def _frame(edit, length_delta=0):
+    """One log frame holding ``edit``, written the way the store does."""
+    body = pickle.dumps(edit, protocol=pickle.HIGHEST_PROTOCOL)
+    return (_MAGIC + struct.pack("<QI", len(body) + length_delta,
+                                 zlib.crc32(body)) + body)
+
+
+def _flip(root, offset):
+    with open(os.path.join(root, _LOG), "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 0x40]))
+
+
 def test_truncated_record_skipped_on_load(tmp_path):
     root = str(tmp_path / "torn")
     _publish(DurableCheckpointStore(root, fsync=False), 0, range(4))
-    _publish(DurableCheckpointStore(root, fsync=False), 5, range(4))
-    victim = os.path.join(root, _record_name(5, 2))
-    raw = open(victim, "rb").read()
-    with open(victim, "wb") as fh:
-        fh.write(raw[: len(raw) // 2])  # torn mid-payload
+    store = DurableCheckpointStore(root, fsync=False)
+    _publish(store, 5, range(3))
+    tail = _log_size(root)
+    _publish(store, 5, [3])
+    with open(os.path.join(root, _LOG), "r+b") as fh:
+        fh.truncate((tail + _log_size(root)) // 2)  # torn mid-frame
 
     store = DurableCheckpointStore(root, fsync=False)
-    assert _record_name(5, 2) in store.skipped_records
-    assert sorted(store[5]) == [0, 1, 3]
+    assert store.skipped_records == [tail]
+    assert sorted(store[5]) == [0, 1, 2]
     # the newest *complete* checkpoint steps back past the torn one
     k, snaps = latest_complete_checkpoint(store, 4)
     assert k == 0 and sorted(snaps) == [0, 1, 2, 3]
+    # the next append truncates the torn bytes, and it replays
+    _publish(store, 5, [3])
+    reopened = DurableCheckpointStore(root, fsync=False)
+    assert reopened.skipped_records == []
+    assert latest_complete_checkpoint(reopened, 4)[0] == 5
 
 
 def test_bitflipped_record_fails_crc_and_is_skipped(tmp_path):
     root = str(tmp_path / "flip")
-    _publish(DurableCheckpointStore(root, fsync=False), 3, range(3))
-    victim = os.path.join(root, _record_name(3, 1))
-    raw = bytearray(open(victim, "rb").read())
-    raw[-7] ^= 0x40  # flip one payload bit; header CRC now disagrees
-    with open(victim, "wb") as fh:
-        fh.write(bytes(raw))
+    store = DurableCheckpointStore(root, fsync=False)
+    _publish(store, 3, [0])
+    victim = _log_size(root)
+    _publish(store, 3, [1])
+    end = _log_size(root)
+    _publish(store, 3, [2])
+    _flip(root, end - 7)  # one payload bit; the frame's CRC now disagrees
 
     store = DurableCheckpointStore(root, fsync=False)
-    assert _record_name(3, 1) in store.skipped_records
+    assert store.skipped_records == [victim]
     assert sorted(store[3]) == [0, 2]
     assert latest_complete_checkpoint(store, 3) is None
 
 
 def test_crc_collision_resistant_header(tmp_path):
-    """A record whose CRC matches but whose length lies is rejected too."""
-    root = str(tmp_path / "hdr")
-    DurableCheckpointStore(root, fsync=False)
-    body = pickle.dumps({"x": 1})
-    header = struct.Struct("<qqQI").pack(0, 0, len(body) + 3, zlib.crc32(body))
-    with open(os.path.join(root, _record_name(0, 0)), "wb") as fh:
-        fh.write(b"RPCKPT1\n" + header + body)
-    store = DurableCheckpointStore(root, fsync=False)
-    assert _record_name(0, 0) in store.skipped_records
-    assert len(store) == 0
+    """A frame whose CRC matches its body but whose length lies is
+    rejected too, and the frame after it still loads."""
+    root = tmp_path / "hdr"
+    root.mkdir()
+    with open(root / _LOG, "wb") as fh:
+        fh.write(_frame(("put", 0, 0, {"x": 1}), length_delta=3))
+        fh.write(_frame(("put", 0, 1, {"x": 2})))
+    store = DurableCheckpointStore(str(root), fsync=False)
+    assert store.skipped_records == [0]
+    assert dict(store[0]) == {1: {"x": 2}}
 
 
-def test_leftover_tmp_files_removed_on_open(tmp_path):
-    root = str(tmp_path / "tmps")
+def test_payload_holding_the_magic_neither_splits_nor_fakes(tmp_path):
+    root = str(tmp_path / "magic")
+    fake = _MAGIC + struct.pack("<QI", 5, 0) + b"fake!"
     store = DurableCheckpointStore(root, fsync=False)
-    _publish(store, 0, range(2))
-    # simulate a SIGKILL between tmp write and rename
-    stray = os.path.join(root, ".tmp-ckpt-00000007-00001.rec-999")
-    with open(stray, "wb") as fh:
-        fh.write(b"half a record")
+    store.setdefault(0, {})[0] = {"blob": fake * 3}
+    store.setdefault(0, {})[1] = {"blob": fake}
     reopened = DurableCheckpointStore(root, fsync=False)
-    assert reopened.tmp_files() == []
-    assert not os.path.exists(stray)
-    assert sorted(reopened[0]) == [0, 1]
+    assert reopened.skipped_records == []
+    assert dict(reopened[0]) == {0: {"blob": fake * 3}, 1: {"blob": fake}}
+    # with the first frame's CRC broken, the scan for the next frame
+    # meets the magic inside its payload and must not take it for one
+    _flip(root, len(_MAGIC) + 8)
+    damaged = DurableCheckpointStore(root, fsync=False)
+    assert damaged.skipped_records == [0]
+    assert dict(damaged[0]) == {1: {"blob": fake}}
 
 
-def test_manifest_is_advisory_and_atomic(tmp_path):
-    root = str(tmp_path / "man")
+def test_per_record_directory_is_refused(tmp_path):
+    root = tmp_path / "legacy"
+    root.mkdir()
+    (root / "manifest.json").write_text("{}")
+    (root / "ckpt-00000005-00002.rec").write_bytes(b"RPCKPT1\n")
+    with pytest.raises(ValueError, match="ckpt-00000005-00002.rec"):
+        DurableCheckpointStore(str(root), fsync=False)
+
+
+def test_every_edit_is_one_frame_of_one_log(tmp_path):
+    """Deletes and clears are tombstones in the same log, so a directory
+    holds the log and nothing else, whatever the edits were."""
+    root = str(tmp_path / "one")
     store = DurableCheckpointStore(root, fsync=False)
-    _publish(store, 0, range(3))
-    import json
-
-    manifest = json.load(open(os.path.join(root, "manifest.json")))
-    assert manifest["iterations"] == {"0": [0, 1, 2]}
-    # a record published after the manifest write (kill between the two)
-    # still loads: completeness is judged record-by-record
-    from repro.backend.store import _encode_record
-
-    os.unlink(os.path.join(root, "manifest.json"))
-    with open(os.path.join(root, _record_name(4, 0)), "wb") as fh:
-        fh.write(_encode_record(4, 0, _snap(0, 4)))
-    reopened = DurableCheckpointStore(root, fsync=False)
-    assert sorted(reopened) == [0, 4]
-    assert sorted(reopened[4]) == [0]
+    sizes = [0]
+    for edit in (
+        lambda: _publish(store, 0, [0]),
+        lambda: store.setdefault(1, {0: _snap(0, 1), 1: _snap(1, 1)}),
+        lambda: store.__setitem__(1, {2: _snap(2, 1)}),
+        lambda: store[0].__delitem__(0),
+        lambda: store.__delitem__(1),
+        store.clear,
+    ):
+        edit()
+        sizes.append(_log_size(root))
+    with open(os.path.join(root, _LOG), "rb") as fh:
+        raw = fh.read()
+    assert raw.count(_MAGIC) == len(sizes) - 1
+    assert all(raw.startswith(_MAGIC, at) for at in sizes[:-1])
+    assert os.listdir(root) == [_LOG]
+    assert len(DurableCheckpointStore(root, fsync=False)) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -221,7 +267,7 @@ def test_latest_complete_survives_driver_restart(tmp_path):
     k, snaps = latest_complete_checkpoint(fresh, 4)
     assert k == 5
     np.testing.assert_array_equal(snaps[1]["x"], _snap(1, 5)["x"])
-    assert fresh.tmp_files() == []
+    assert os.listdir(root) == [_LOG]
 
 
 def test_live_view_publishes_immediately(tmp_path):

@@ -103,7 +103,10 @@ class TestReapingOnFailure:
         with pytest.raises(BackendError):
             ProcessBackend(timeout=30.0).run(RankRaisesProgram(), nprocs=3)
 
-    def test_sleeping_rank_is_killed_not_waited_for(self):
+    def test_sleeping_rank_is_killed_not_waited_for(self, monkeypatch):
+        # the parent's deadline is timeout + grace; a short grace keeps
+        # the test from waiting out the production 5 s
+        monkeypatch.setattr("repro.backend.process._PARENT_GRACE", 0.2)
         t0 = time.monotonic()
         with pytest.raises(BackendError):
             ProcessBackend(timeout=1.0).run(SleepForeverProgram(), nprocs=2)

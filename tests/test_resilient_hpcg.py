@@ -178,7 +178,7 @@ def test_durable_store_resume_bitwise(tmp_path):
     first = DurableCheckpointStore(root, fsync=False)
     partial = _resilient("jacobi", reproducible=True, maxiter=5, store=first)
     assert not partial.converged
-    assert len(first) >= 1 and first.tmp_files() == []
+    assert len(first) >= 1 and os.listdir(root) == ["checkpoints.log"]
 
     # second driver: fresh store object, same directory -> resumes
     second = DurableCheckpointStore(root, fsync=False)
@@ -233,7 +233,7 @@ def test_sigkill_mid_solve_then_resume(tmp_path):
     assert proc.returncode == -signal.SIGKILL, proc.stderr
 
     store = DurableCheckpointStore(root, fsync=False)
-    assert store.tmp_files() == []
+    assert os.listdir(root) == ["checkpoints.log"]
     assert len(store) >= 1  # the dead driver left usable checkpoints
 
     res = hpcg_solve(

@@ -74,7 +74,7 @@ def test_sigkill_service_driver_then_replay(tmp_path):
 
     # the dead driver journaled every accepted job; some are terminal
     journal = JobJournal(journal_dir)
-    assert journal.tmp_files() == []
+    assert os.listdir(journal_dir) == ["journal.log"]
     keys = [f"job-{i}" for i in range(JOBS)]
     states = {k: journal.state(k) for k in keys}
     assert all(s is not None for s in states.values()), "lost accepted jobs"

@@ -28,6 +28,7 @@ from repro.service import (
     new_idempotency_key,
 )
 from repro.service.journal import (
+    _MAGIC,
     ACCEPTED,
     COMPLETED,
     DISPATCHED,
@@ -60,7 +61,7 @@ class TestRecordLifecycle:
         assert state.dispatches == 1
         assert state.attempts == []  # ok attempts are not journaled
         assert state.condemnations == 0
-        assert journal.tmp_files() == []
+        assert os.listdir(tmp_path / "journal") == ["journal.log"]
 
     def test_failed_attempts_are_journaled(self, tmp_path):
         class AlwaysCrash(ExecutionBackend):
@@ -146,12 +147,14 @@ class TestRecordLifecycle:
 
 
 class TestParentRecordReplays:
-    """A journal written before ``JobSpec`` moved still replays.
+    """A record written before ``JobSpec`` moved still replays.
 
-    The record below is one ``accepted`` record as the service wrote it
-    when ``JobSpec`` lived in ``repro.service.service``: its spec pickled
-    under that class path.  It is a 4x4x4 stencil27 job on 2 ranks,
-    Jacobi-preconditioned, rtol 1e-10, key ``parent-record``.
+    The bytes below are one ``accepted`` record as the service wrote it,
+    as its own ``jrn-<seq>.rec`` file, when ``JobSpec`` lived in
+    ``repro.service.service``: its spec pickled under that class path.
+    It is a 4x4x4 stencil27 job on 2 ranks, Jacobi-preconditioned, rtol
+    1e-10, key ``parent-record``.  Without its 8-byte sequence key after
+    the magic it is one frame of the append-only log.
     """
 
     _PARENT_RECORD = (
@@ -177,11 +180,19 @@ class TestParentRecordReplays:
         b'\x94h\x04ubh\rh\x0eu.'
     )
 
-    def test_replays_and_solves_bitwise(self, tmp_path):
+    def test_per_record_directory_is_refused(self, tmp_path):
         journal_dir = tmp_path / "journal"
         journal_dir.mkdir()
         (journal_dir / "jrn-0000000000.rec").write_bytes(
             self._PARENT_RECORD)
+        with pytest.raises(ValueError, match="jrn-0000000000.rec"):
+            JobJournal(str(journal_dir))
+
+    def test_replays_and_solves_bitwise(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        journal_dir.mkdir()
+        (journal_dir / "journal.log").write_bytes(
+            self._PARENT_RECORD[:8] + self._PARENT_RECORD[16:])
         assert type(JobJournal(str(journal_dir)).state(
             "parent-record").spec) is JobSpec
         with _service(tmp_path) as svc:
@@ -273,30 +284,57 @@ class TestReplay:
             svc.solve(_spec(key="k0"), timeout=30.0)
             svc.submit(_spec(key="k1"))
             svc.drain(timeout=30.0)
-        jdir = tmp_path / "journal"
-        # flip bytes in k1's terminal record: k1 loses its terminal
-        # event and becomes replayable again -- degraded, not poisoned
-        victim = sorted(os.listdir(jdir))[-1]
-        raw = bytearray((jdir / victim).read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        (jdir / victim).write_bytes(bytes(raw))
-        journal = JobJournal(str(jdir))
+        log = tmp_path / "journal" / "journal.log"
+        # flip bytes in k1's terminal record, the last frame: k1 loses
+        # its terminal event and becomes replayable again -- degraded,
+        # not poisoned
+        raw = bytearray(log.read_bytes())
+        victim = raw.rfind(_MAGIC)
+        raw[(victim + len(raw)) // 2] ^= 0xFF
+        log.write_bytes(bytes(raw))
+        journal = JobJournal(str(log.parent))
         assert journal.skipped_records == [victim]
-        # __len__ counts folded records, not max-seq: the corrupt
-        # record must not inflate the telemetry count
+        # __len__ counts folded records: the corrupt one must not
+        # inflate the telemetry count
         assert len(journal) == 5
         assert journal.state("k0").terminal == COMPLETED
+        # the next append truncates the damaged tail before writing
         with _service(tmp_path) as svc2:
             assert svc2.counters.replayed == 1
             assert svc2.handle_for("k1").result(timeout=30.0).ok
+        reloaded = JobJournal(str(log.parent))
+        assert reloaded.skipped_records == []
+        assert reloaded.state("k1").terminal == COMPLETED
+
+    def test_bitflip_mid_log_skips_one_record(self, tmp_path):
+        jdir = str(tmp_path / "journal")
+        journal = JobJournal(jdir, fsync=False)
+        log = os.path.join(jdir, "journal.log")
+        offsets = []
+        for key in ("a", "b", "c"):
+            offsets.append(os.path.getsize(log) if offsets else 0)
+            journal.accepted(key, None)
+        with open(log, "r+b") as fh:
+            fh.seek(offsets[2] - 3)  # inside b's pickled body
+            byte = fh.read(1)[0]
+            fh.seek(offsets[2] - 3)
+            fh.write(bytes([byte ^ 0x01]))
+        reloaded = JobJournal(jdir, fsync=False)
+        assert reloaded.skipped_records == [offsets[1]]
+        assert [s.key for s in reloaded.states()] == ["a", "c"]
+        assert len(reloaded) == 2
+        # a skipped frame in the middle is kept, and appends go after it
+        reloaded.accepted("d", None)
+        again = JobJournal(jdir, fsync=False)
+        assert again.skipped_records == [offsets[1]]
+        assert [s.key for s in again.states()] == ["a", "c", "d"]
 
 
 class TestConcurrency:
     def test_concurrent_appends_lose_no_records(self, tmp_path):
         # submit() journals ACCEPTED from client threads while the
-        # dispatcher journals everything else; without the journal's
-        # lock two appends can claim one seq and os.replace silently
-        # drops a record
+        # dispatcher journals everything else; the journal's lock keeps
+        # the log order and the fold order the same
         journal = JobJournal(str(tmp_path / "journal"), fsync=False)
         n_threads, per_thread = 8, 25
         barrier = threading.Barrier(n_threads)
