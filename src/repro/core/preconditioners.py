@@ -22,6 +22,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..sparse.convert import as_matrix
+from ..sparse.coo import COOMatrix
 
 __all__ = [
     "Preconditioner",
@@ -84,35 +85,63 @@ class JacobiPreconditioner(Preconditioner):
         return float(self.inv_diag.size)
 
 
-def _sweep_operands(T, lower: bool, invdiag: np.ndarray) -> tuple:
+def _canonical(matrix) -> tuple:
+    """``(n, rows, cols, data)`` of ``matrix``'s entries in row-major order.
+
+    Each row's entries sorted by column and duplicates summed in storage
+    order, as scipy's ``sum_duplicates`` does on rows of up to 16 entries
+    (where its sort is an insertion sort); explicit zeros are kept.  The
+    sum starts from zero, not from the first duplicate, which only turns
+    an all ``-0.0`` group into ``+0.0``: a zero the sweeps drop or the
+    diagonal check rejects either way.
+    """
+    A = as_matrix(matrix).to_csr()
+    rows, cols, data = A.expanded_rows(), A.indices, A.data
+    key = rows * A.ncols + cols
+    if (key[1:] <= key[:-1]).any():
+        coo = COOMatrix(rows, cols, data, shape=A.shape)
+        rows, cols, data = coo.rows, coo.cols, coo.data
+    return A.nrows, rows, cols, data
+
+
+def _sweep_operands(rows, cols, data, dw: np.ndarray, invdiag: np.ndarray,
+                    lower: bool) -> tuple:
     """SuperLU ``gstrs`` operands of one triangular sweep ``T y = b``.
 
-    This is the matrix-only half of scipy's sparse triangular solve for a
-    CSR ``T``, run once: its CSC transpose scaled to a unit diagonal
-    (``T @ diag(invdiag)``, duplicates summed), paired with the identity
-    (a lower ``T`` is an upper CSC, diagonal zeroed) or an empty matrix,
-    index arrays cast to ``intc``.  Returned as plain ``(n, nnz, data,
-    indices, indptr)`` twice, so :func:`_sweep` is bitwise that solve
+    ``T`` is the lower (``lower``) or upper triangle of the canonical
+    ``(rows, cols, data)``, explicit zeros dropped and the diagonal
+    replaced by ``dw``: the forward or backward SSOR operator.  This is the
+    matrix-only half of scipy's sparse triangular solve for ``T`` in CSR,
+    run once: the CSC transpose of ``T @ diag(invdiag)`` (rows in column
+    order, products that are zero dropped), paired with the identity (a
+    lower ``T`` is an upper CSC, diagonal set to zero) or an empty matrix,
+    index arrays ``intc``.  Returned as plain ``(n, nnz, data, indices,
+    indptr)`` twice, so :func:`_sweep` is bitwise that solve
     (``tests/test_preconditioners.py::TestSSORSweepParity``).
     """
-    import scipy.sparse as sp
-
-    n = T.shape[0]
-    A = (T @ sp.diags_array(invdiag)).T
-    A.sum_duplicates()
-    if lower:
-        L, U = sp.eye_array(n, format="csc"), A
-        U.setdiag(0)
-    else:
-        L, U = A, sp.csc_array((n, n))
-    if max(L.nnz, U.nnz) > np.iinfo(np.intc).max:
+    n = dw.size
+    keep = ((cols <= rows) if lower else (cols >= rows)) & (data != 0)
+    row, col, val = rows[keep], cols[keep], data[keep]
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    # each row holds its (nonzero) diagonal, last or first
+    diag = indptr[1:] - 1 if lower else indptr[:-1]
+    val[diag] = dw
+    val *= invdiag[col]
+    nonzero = val != 0  # the diagonal's product never vanishes
+    if not nonzero.all():
+        col, val = col[nonzero], val[nonzero]
+        np.cumsum(np.bincount(row[nonzero], minlength=n), out=indptr[1:])
+    if val.size > np.iinfo(np.intc).max:
         raise ValueError("SuperLU takes 32-bit indices; matrix too large")
-    return tuple(
-        x for M in (L, U) for x in (
-            n, M.nnz, M.data,
-            M.indices.astype(np.intc), M.indptr.astype(np.intc),
-        )
-    )
+    sweep = (n, val.size, val, col.astype(np.intc), indptr)
+    if lower:
+        val[indptr[1:] - 1] = 0.0
+        eye = np.arange(n + 1, dtype=np.intc)
+        return (n, n, np.ones(n), eye[:-1].copy(), eye) + sweep
+    empty = (n, 0, np.empty(0), np.empty(0, dtype=np.intc),
+             np.zeros(n + 1, dtype=np.intc))
+    return sweep + empty
 
 
 def _sweep(gstrs, operands: tuple, b: np.ndarray,
@@ -133,11 +162,14 @@ class SSORPreconditioner(Preconditioner):
     work, exhibiting the parallelism-vs-convergence trade-off.
 
     Both sweep operators are fixed, so they are prepared once, at
-    construction (:func:`_sweep_operands`): an apply is two SuperLU
-    substitutions and three diagonal scalings, bitwise what scipy's
-    per-call triangular solve gives on the same operators.  The instance
-    keeps only plain arrays: each sweep's ``gstrs`` operands, the one
-    inverse diagonal ``w / d`` both sweeps share, and the middle scaling.
+    construction, in numpy from the canonical CSR trio
+    (:func:`_sweep_operands`), byte for byte the operands scipy's
+    per-call triangular solve builds: an apply is two SuperLU
+    substitutions and three diagonal scalings, bitwise that solve.  The
+    instance keeps only plain arrays: each sweep's ``gstrs`` operands, the
+    one inverse diagonal ``1 / (d * (1/w))`` both sweeps share, and the
+    middle scaling.  A diagonal entry that is zero, or that the scaling
+    underflows to zero, raises ``ValueError``.
     """
 
     parallel = False
@@ -145,24 +177,24 @@ class SSORPreconditioner(Preconditioner):
     def __init__(self, matrix, omega: float = 1.0):
         if not 0.0 < omega < 2.0:
             raise ValueError("SSOR requires 0 < omega < 2")
-        import scipy.sparse as sp
         # loaded here, not by the first apply, which would pay for it
         import scipy.sparse.linalg._dsolve._superlu  # noqa: F401
 
-        A = as_matrix(matrix).to_scipy().tocsr()
-        d = A.diagonal()
-        if (d == 0).any():
+        n, rows, cols, data = _canonical(matrix)
+        on = rows == cols
+        d = np.zeros(n)
+        d[rows[on]] = data[on]
+        dw = d * (1.0 / omega)  # D / omega, as scipy scales it
+        if (dw == 0).any():
             raise ValueError("SSOR preconditioner needs a zero-free diagonal")
         self.omega = float(omega)
-        n = A.shape[0]
-        D = sp.diags(d)
-        lower = (D / omega + sp.tril(A, k=-1)).tocsr()  # forward sweep
-        upper = (D / omega + sp.triu(A, k=1)).tocsr()  # backward sweep
-        self._invdiag = 1.0 / lower.diagonal()  # upper's diagonal is the same
-        self._forward = _sweep_operands(lower, True, self._invdiag)
-        self._backward = _sweep_operands(upper, False, self._invdiag)
+        self._invdiag = 1.0 / dw  # both sweeps share their diagonal
+        self._forward = _sweep_operands(rows, cols, data, dw, self._invdiag,
+                                        lower=True)
+        self._backward = _sweep_operands(rows, cols, data, dw,
+                                         self._invdiag, lower=False)
         self._d_scale = d * ((2.0 - omega) / omega)
-        self._nnz = A.nnz
+        self._nnz = data.size
         self._n = n
 
     def solve(self, r: np.ndarray) -> np.ndarray:

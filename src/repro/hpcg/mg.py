@@ -11,7 +11,8 @@ One V-cycle per apply, matching the HPCG reference structure:
   guess ``x`` is algebraically ``x + M^{-1}(b - A x)`` where ``M`` is the
   SSOR splitting at ``omega = 1`` -- so the smoother *is* the existing
   :class:`~repro.core.preconditioners.SSORPreconditioner`, reused per
-  level, whose triangular operands are prepared once at construction;
+  level, whose triangular operands are built once, in numpy, at
+  construction;
 * **transfer**: injection restriction (coarse point ``(i,j,k)`` reads fine
   point ``(2i,2j,2k)``) and its transpose as prolongation, the HPCG pair,
   both the strided view ``[::2, ::2, ::2]`` of the level's grid;
@@ -19,12 +20,16 @@ One V-cycle per apply, matching the HPCG reference structure:
 
 Each level cuts its CSR once, at construction, into the 27 coefficient
 planes of a whole-grid :class:`~repro.sparse.kernels.StencilBlock` and
-then keeps only the planes and the smoother.  An apply is therefore only
-arithmetic: per level, SuperLU forward and backward substitutions on the
-prepared operands (two per smooth) and the residual products (two per
-non-coarsest level), each the planes over a fresh zero-ringed pad.  At
-32^3 on a 2-core Xeon one apply takes 9-11 ms, about 6 ms of it the
-substitutions.
+then keeps only its shape, the planes and the smoother's operands.  A
+constant plane is one float, so every level of a :func:`stencil27`
+hierarchy holds 27 floats where a varying-coefficient level holds 27
+arrays.  The HPCG rank operator slices its subcube out of the fine level
+(:meth:`~repro.sparse.kernels.StencilBlock.sub`) rather than cut the CSR
+again.  An apply is only arithmetic: per level, SuperLU forward and
+backward substitutions on the prepared operands (two per smooth) and the
+residual products (two per non-coarsest level), each the planes over a
+fresh zero-ringed pad.  At 32^3 on a 2-core Xeon, one BLAS thread, one
+apply takes about 5.5 ms, most of it the substitutions.
 
 The apply is deterministic (triangular solves + plane sweeps in fixed
 order, bitwise the CSR products on stencil rows), which is what lets the

@@ -32,10 +32,11 @@ Design choices that make the bitwise-reproducibility pin possible:
 
 * **one local product, whatever the partition.**  Each rank cuts its rows
   of the matrix into the 27 coefficient planes of a
-  :class:`~repro.sparse.kernels.StencilBlock` and sums the planes times
-  shifted views of the pad in ascending neighbour offset, from zero.  That
-  is every row's ascending-column order, so every mat-vec bit is the
-  serial CSR product's at any rank count.
+  :class:`~repro.sparse.kernels.StencilBlock` -- with ``mg`` it slices them
+  from the V-cycle's fine level, which already holds them -- and sums the
+  planes times shifted views of the pad in ascending neighbour offset,
+  from zero.  That is every row's ascending-column order, so every mat-vec
+  bit is the serial CSR product's at any rank count.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ class SubcubeOperator:
     vector the replicated V-cycle left behind or an allgather (a clipped
     slice of the grid), or from a 26-neighbour halo exchange (each
     received face, edge and corner written at pad positions mapped once).
-    Ring cells on the global boundary are never written and stay 0; with
-    no neighbours (one rank) only the interior is.  The product is a
+    Ring cells on the global boundary are never written and stay 0, as
+    the kernel's pad contract requires; with no neighbours (one rank) only
+    the interior is.  The product is a
     :class:`~repro.sparse.kernels.StencilBlock` over that pad.
     """
 
@@ -183,8 +185,13 @@ class SubcubeOperator:
         self.n = program.n
         self.rows = rows = layout.local_indices_cached(rank)
         box = layout.local_box(rank)
-        self.block = StencilBlock(program.indptr, program.indices,
-                                  program.data, layout.shape, box)
+        if program.mg is not None:
+            # the V-cycle's fine level already holds these planes
+            counts = program.indptr[rows + 1] - program.indptr[rows]
+            self.block = program.mg.levels[0].op.sub(box, counts.sum())
+        else:
+            self.block = StencilBlock(program.indptr, program.indices,
+                                      program.data, layout.shape, box)
         self.flops = 2.0 * self.block.nnz
         self.pad = np.zeros(tuple(s + 2 for s in self.block.shape))
         self.interior = self.pad[1:-1, 1:-1, 1:-1]

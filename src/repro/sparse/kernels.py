@@ -18,10 +18,12 @@ pairwise or blocked row sums); ``tests/test_local_kernel.py`` checks it
 against the explicit loop.
 
 :class:`StencilBlock` is the second kernel: a 27-point operator on one box
-of a 3-D grid, held as coefficient planes and applied as shifted sweeps
-over a padded operand (DESIGN.md, "Local kernel").  Its order is ascending
-neighbour offset ``(dz, dy, dx)`` from zero, which on a row stored in
-ascending column order is :class:`CompressedBlock`'s order exactly.
+of a 3-D grid, held as coefficient planes -- a constant one as a single
+float -- and applied as shifted sweeps over a padded operand whose cells
+outside the grid hold zero (DESIGN.md, "Local kernel").  Its order is
+ascending neighbour offset ``(dz, dy, dx)`` from zero, which on a row
+stored in ascending column order is :class:`CompressedBlock`'s order
+exactly.
 """
 
 from __future__ import annotations
@@ -78,48 +80,72 @@ class CompressedBlock:
 #: bounds the build's transient per-entry arrays, not the result
 _PLANE_CHUNK_ROWS = 4096
 
+#: neighbour offset ``(dz, dy, dx)`` of each plane, in plane order
+_OFFSETS = [(dz, dy, dx) for dz in (-1, 0, 1) for dy in (-1, 0, 1)
+            for dx in (-1, 0, 1)]
+
+
+def _inside(shape, box, offset) -> tuple:
+    """Local slices of the cells of ``box`` whose neighbour at ``offset``
+    (``(dz, dy, dx)``) lies inside the ``nx x ny x nz`` grid."""
+    return tuple(
+        slice(max(lo, -d) - lo, max(min(hi, dim - d), lo) - lo)
+        for (lo, hi), dim, d in zip(reversed(box), reversed(shape), offset))
+
+
+def _held(plane: np.ndarray, inside: tuple):
+    """``plane`` as one float ``c`` when ``c`` is finite and every cell in
+    ``inside`` holds exactly ``c``'s bits (``0.0`` when none does), else a
+    copy of it."""
+    cells = plane[inside]
+    if cells.size == 0:
+        return 0.0
+    bits = cells.view(np.uint64)
+    if np.isfinite(cells.flat[0]) and (bits == bits.flat[0]).all():
+        return float(cells.flat[0])
+    return plane.copy()
+
 
 class StencilBlock:
     """A 27-point operator on one box of an ``nx x ny x nz`` grid.
 
     Built once from the box's rows of a CSR trio (``(iz*ny + iy)*nx + ix``
-    numbering, ``x`` fastest) as a ``(27, lz, ly, lx)`` array: plane
+    numbering, ``x`` fastest) as 27 coefficient planes: plane
     ``k = 9*(dz+1) + 3*(dy+1) + (dx+1)`` holds each row's coefficient for
-    neighbour ``(dz, dy, dx)``, or 0 where the row stores none.  The planes
-    are a copy (216 bytes per point), not views, so a handle does not see
-    later in-place updates of ``data``.  An entry outside a row's
-    27-neighbourhood, or two entries at one offset, raises ``ValueError``
-    naming the row and column: nothing is ever dropped.
+    neighbour ``(dz, dy, dx)``, or 0 where the row stores none.  A plane is
+    held as one Python float ``c`` when ``c`` is finite and every cell
+    whose neighbour lies inside the grid holds exactly ``c``'s bits -- so a
+    constant-coefficient stencil holds 27 floats -- and otherwise as an
+    ``(lz, ly, lx)`` array of 8 bytes per point.  Either way it is a copy,
+    not a view, so a handle does not see later in-place updates of
+    ``data``.  An entry outside a row's 27-neighbourhood, or two entries at
+    one offset, raises ``ValueError`` naming the row and column: nothing is
+    ever dropped.
 
     ``matvec(pad)`` takes the operand on the box grown by one cell per face,
-    ``(lz+2, ly+2, lx+2)``, with zeros wherever the grown box leaves the
-    grid, and sums ``planes[k] * pad[shifted by k]`` for ``k = 0 .. 26``
-    from zero.  A missing neighbour adds ``c * 0 = ±0.0`` to a partial sum
-    that starts at ``+0.0`` and so is never ``-0.0``: for finite operands
-    this is bitwise :class:`CompressedBlock` on rows stored in ascending
-    column order, which stencil rows are.
+    ``(lz+2, ly+2, lx+2)``, and sums ``planes[k] * pad[shifted by k]`` for
+    ``k = 0 .. 26`` from zero.  **Pad contract:** every pad cell outside the
+    grid holds zero.  A missing neighbour then adds ``c * 0 = ±0.0`` to a
+    partial sum that starts at ``+0.0`` and so is never ``-0.0``, whatever
+    ``c`` a float plane holds there: for finite operands this is bitwise
+    :class:`CompressedBlock` on rows stored in ascending column order,
+    which stencil rows are.  A float ``c`` must be finite because
+    ``inf * 0`` is NaN.
 
     The held scratch never rides a pickle: an unpickled handle, whose
-    planes may be read-only views, allocates its own.
+    array planes may be read-only views, allocates its own.
     """
 
     def __init__(self, indptr, indices, data, shape, box):
         nx, ny, nz = (int(s) for s in shape)
         (xlo, xhi), (ylo, yhi), (zlo, zhi) = box
-        self.shape = (zhi - zlo, yhi - ylo, xhi - xlo)
-        self.planes = np.zeros((27,) + self.shape)
-        self._scratch = np.empty(self.shape)
-        lz, ly, lx = self.shape
-        #: the operand view each plane multiplies, in plane order
-        self._views = [
-            (slice(1 + dz, 1 + dz + lz), slice(1 + dy, 1 + dy + ly),
-             slice(1 + dx, 1 + dx + lx))
-            for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-        ]
+        self._frame((nx, ny, nz), box)
+        _, ly, lx = self.shape
+        planes = np.zeros((27,) + self.shape)
         n = nx * ny * nz
         # per-entry coordinate arithmetic in int32 wherever the grid fits
         it = np.dtype(np.int32 if n < 2 ** 31 else np.int64)
-        flat = self.planes.reshape(27, -1)
+        flat = planes.reshape(27, -1)
         layer = ly * lx
         step = max(1, _PLANE_CHUNK_ROWS // max(layer, 1))
         nnz = 0
@@ -168,7 +194,58 @@ class StencilBlock:
             buf[slot] = data[offs]
             lo = (z0 - zlo) * layer
             flat[:, lo:lo + rows.size] = buf.reshape(-1, 27).T
+        self.planes = [_held(plane, inside)
+                       for plane, inside in zip(planes, self._inside())]
         self.nnz = nnz
+
+    def _frame(self, shape, box) -> None:
+        """The grid, the box, its scratch and the operand each plane
+        multiplies, as a 3-D view and as a start in the flattened pad."""
+        self._grid = shape
+        self._box = tuple((int(lo), int(hi)) for lo, hi in box)
+        (xlo, xhi), (ylo, yhi), (zlo, zhi) = self._box
+        self.shape = lz, ly, lx = (zhi - zlo, yhi - ylo, xhi - xlo)
+        self._views = [
+            (slice(1 + dz, 1 + dz + lz), slice(1 + dy, 1 + dy + ly),
+             slice(1 + dx, 1 + dx + lx))
+            for dz, dy, dx in _OFFSETS
+        ]
+        # flattened pad: the box's cells from first to last, ring columns
+        # between them included, are one slice of ``_span`` per plane
+        layer, row = (ly + 2) * (lx + 2), lx + 2
+        self._span = ((lz - 1) * layer + (ly - 1) * row + lx
+                      if lz and ly and lx else 0)
+        self._starts = [(1 + dz) * layer + (1 + dy) * row + 1 + dx
+                        for dz, dy, dx in _OFFSETS]
+        self._scratch = np.empty(self._span)
+
+    def _inside(self):
+        """Per plane, the local cells whose neighbour is inside the grid."""
+        return [_inside(self._grid, self._box, o) for o in _OFFSETS]
+
+    def sub(self, box, nnz: int) -> "StencilBlock":
+        """The block of a sub-``box`` of this one, without the CSR.
+
+        Bitwise the block a fresh cut of the same trio would build, given
+        the ``nnz`` the box's rows store: float planes stay floats (``0.0``
+        where no cell of the box has the neighbour inside the grid), and
+        array planes are sliced, copied and held again by the same rule.
+        """
+        out = StencilBlock.__new__(StencilBlock)
+        out._frame(self._grid, box)
+        (xlo, xhi), (ylo, yhi), (zlo, zhi) = out._box
+        (oxlo, _), (oylo, _), (ozlo, _) = self._box
+        window = (slice(zlo - ozlo, zhi - ozlo), slice(ylo - oylo, yhi - oylo),
+                  slice(xlo - oxlo, xhi - oxlo))
+        out.planes = []
+        for plane, inside in zip(self.planes, out._inside()):
+            if isinstance(plane, float):
+                empty = any(s.start >= s.stop for s in inside)
+                out.planes.append(0.0 if empty else plane)
+            else:
+                out.planes.append(_held(plane[window], inside))
+        out.nnz = int(nnz)
+        return out
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -177,13 +254,30 @@ class StencilBlock:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._scratch = np.empty(self.shape)
+        self._scratch = np.empty(self._span)
 
     def matvec(self, pad: np.ndarray) -> np.ndarray:
-        """``y = sum_k planes[k] * pad[view k]`` in plane order, flattened."""
-        y = np.zeros(self.shape)
+        """``y = sum_k planes[k] * pad[view k]`` in plane order, flattened.
+
+        ``y`` lives in the pad's own layout, so a float plane is one
+        contiguous multiply and add over ``_span`` cells of the flattened
+        pad; the sums it also forms in the ring columns are dropped.  An
+        array plane runs over the 3-D views.  Either way each box cell
+        gets the same additions in the same order.
+        """
+        lz, ly, lx = self.shape
+        y = np.zeros((lz, ly + 2, lx + 2))
+        box = y[:, :ly, :lx]
+        span = self._span
+        flat, ys = pad.reshape(-1), y.reshape(-1)[:span]
         scratch = self._scratch
-        for plane, view in zip(self.planes, self._views):
-            np.multiply(plane, pad[view], out=scratch)
-            np.add(y, scratch, out=y)
-        return y.reshape(-1)
+        for plane, view, start in zip(self.planes, self._views,
+                                      self._starts):
+            if isinstance(plane, float):
+                np.multiply(plane, flat[start:start + span], out=scratch)
+                np.add(ys, scratch, out=ys)
+            else:
+                cells = scratch[:box.size].reshape(self.shape)
+                np.multiply(plane, pad[view], out=cells)
+                np.add(box, cells, out=box)
+        return box.reshape(-1)

@@ -357,18 +357,31 @@ def test_stencil_block_sums_signed_zeros_from_plus_zero():
     assert not np.signbit(got).any()
 
 
-def test_stencil_block_holds_a_copy_and_returns_a_fresh_vector():
-    A = stencil27(4, 3, 2)
+def _holds_a_copy_and_returns_a_fresh_vector(A, arrays):
     box = ((0, 4), (0, 3), (0, 2))
     block = StencilBlock(A.indptr, A.indices, A.data, (4, 3, 2), box)
-    assert block.planes.shape == (27, 2, 3, 4)
-    assert not np.shares_memory(block.planes, A.data)
+    assert len(block.planes) == 27
+    held = [p for p in block.planes if isinstance(p, np.ndarray)]
+    assert len(held) == arrays
+    for plane in held:
+        assert plane.shape == (2, 3, 4)
+        assert not np.shares_memory(plane, A.data)
     pad = padded(np.ones(A.nrows), (4, 3, 2), box)
     first = block.matvec(pad)
     second = block.matvec(pad)
     assert first is not second and first.tobytes() == second.tobytes()
     A.data *= 2.0
     assert block.matvec(pad).tobytes() == first.tobytes()
+
+
+def test_stencil_block_holds_a_copy_and_returns_a_fresh_vector():
+    """Varying coefficients: every plane an array, none a view."""
+    _holds_a_copy_and_returns_a_fresh_vector(
+        random_stencil((4, 3, 2), seed=6), arrays=27)
+
+
+def test_constant_stencil_block_holds_floats_and_returns_a_fresh_vector():
+    _holds_a_copy_and_returns_a_fresh_vector(stencil27(4, 3, 2), arrays=0)
 
 
 def test_empty_box():
@@ -419,13 +432,215 @@ def rebuild_read_only(obj):
     return pickle.loads(data, buffers=[bytes(b.raw()) for b in buffers])
 
 
-def test_stencil_block_rebuilt_over_read_only_buffers_applies_bitwise():
+def _rebuilt_over_read_only_buffers_applies_bitwise(A, arrays):
     shape = (12, 10, 8)
-    A = random_stencil(shape, seed=4)
     box = ((0, 12), (0, 10), (2, 8))
     block = StencilBlock(A.indptr, A.indices, A.data, shape, box)
     clone = rebuild_read_only(block)
-    assert not clone.planes.flags.writeable
+    held = [p for p in clone.planes if isinstance(p, np.ndarray)]
+    assert len(held) == arrays
+    assert not any(plane.flags.writeable for plane in held)
     for seed in (1, 2):
         pad = padded(_vector(A.ncols, seed), shape, box)
         assert clone.matvec(pad).tobytes() == block.matvec(pad).tobytes()
+
+
+def test_stencil_block_rebuilt_over_read_only_buffers_applies_bitwise():
+    """Varying coefficients: every plane an array, rebuilt read-only."""
+    _rebuilt_over_read_only_buffers_applies_bitwise(
+        random_stencil((12, 10, 8), seed=4), arrays=27)
+
+
+def test_constant_stencil_block_rebuilt_over_read_only_buffers_applies():
+    _rebuilt_over_read_only_buffers_applies_bitwise(
+        stencil27(12, 10, 8), arrays=0)
+
+
+# ------------------------------------------------------------------ #
+# constant planes held as one float
+# ------------------------------------------------------------------ #
+def as_array_planes(block):
+    """A copy of ``block`` with every float plane spelled out as the array
+    a plane-per-cell build holds: ``c`` where the neighbour is inside the
+    grid, 0 where it is not."""
+    out = pickle.loads(pickle.dumps(block))
+    out.planes = []
+    for plane, inside in zip(block.planes, block._inside()):
+        if isinstance(plane, float):
+            full = np.zeros(block.shape)
+            full[inside] = plane
+            plane = full
+        out.planes.append(plane)
+    return out
+
+
+def _bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+def with_plane(A, shape, offset, values):
+    """``A`` with the coefficient at neighbour ``offset`` of every row set
+    from ``values(rows)``."""
+    nx, ny, _ = shape
+    rows = A.expanded_rows()
+    cols = A.indices
+    dz, dy, dx = offset
+    at = cols - rows == (dz * ny + dy) * nx + dx
+    # the column difference aliases on thin grids: check the coordinates
+    rz, ry, rx = rows // (nx * ny), rows // nx % ny, rows % nx
+    cz, cy, cx = cols // (nx * ny), cols // nx % ny, cols % nx
+    at &= (cz - rz == dz) & (cy - ry == dy) & (cx - rx == dx)
+    data = A.data.copy()
+    data[at] = values(rows[at])
+    return CSRMatrix(A.indptr, A.indices, data, shape=A.shape)
+
+
+def _plane_index(offset):
+    dz, dy, dx = offset
+    return 9 * (dz + 1) + 3 * (dy + 1) + (dx + 1)
+
+
+def scalar_cases(shape):
+    """``name -> (matrix, {plane: "float" | "array"})`` on ``shape``."""
+    base = stencil27(*shape)
+    rng = np.random.default_rng(sum(shape))
+    varied = ((0, 0, 1), (1, -1, 0), (-1, -1, -1))
+    mixed = base
+    for offset in varied:
+        mixed = with_plane(mixed, shape, offset,
+                           lambda r: rng.standard_normal(r.size))
+    kinds = {_plane_index(o): "array" for o in varied}
+    kinds.update({_plane_index((0, 0, 0)): "float",
+                  _plane_index((1, 1, 1)): "float"})
+    cases = {"mixed": (mixed, kinds)}
+    cases["one-cell"] = (with_plane(
+        base, shape, (0, 0, 1),
+        lambda r: np.where(np.arange(r.size) == r.size // 2, -0.75,
+                           -1.0)),
+        {_plane_index((0, 0, 1)): "array", _plane_index((0, 0, -1)): "float"})
+    cases["minus-zero"] = (with_plane(
+        base, shape, (0, 1, 0), lambda r: np.full(r.size, -0.0)),
+        {_plane_index((0, 1, 0)): "float"})
+    cases["one-minus-zero"] = (with_plane(
+        base, shape, (0, 1, 0),
+        lambda r: np.where(np.arange(r.size) == 0, -0.0, 0.0)),
+        {_plane_index((0, 1, 0)): "array"})
+    for bad in (np.inf, -np.inf, np.nan):
+        cases[f"constant-{bad}"] = (with_plane(
+            base, shape, (1, 0, 0), lambda r, v=bad: np.full(r.size, v)),
+            {_plane_index((1, 0, 0)): "array",
+             _plane_index((0, 0, 0)): "float"})
+    cases["stencil27"] = (base, {k: "float" for k in range(27)})
+    return cases
+
+
+SCALAR_CASES = list(scalar_cases((5, 4, 3)))
+
+
+@pytest.mark.parametrize("name", SCALAR_CASES)
+def test_each_plane_is_held_by_the_rule(name):
+    shape = (5, 4, 3)
+    A, kinds = scalar_cases(shape)[name]
+    block = StencilBlock(A.indptr, A.indices, A.data, shape,
+                         ((0, 5), (0, 4), (0, 3)))
+    for k, kind in kinds.items():
+        plane = block.planes[k]
+        assert isinstance(plane, float if kind == "float" else np.ndarray), k
+    if name == "minus-zero":
+        assert _bits(block.planes[_plane_index((0, 1, 0))]) == _bits(-0.0)
+
+
+@pytest.mark.parametrize("shape,box", STENCIL_BOXES)
+@pytest.mark.parametrize("name", SCALAR_CASES)
+def test_float_planes_are_bitwise_the_array_form(shape, box, name):
+    """Every held form on boxes touching 0-6 global faces, thin grids too,
+    against the same block with its float planes spelled out; the operand
+    holds infinities, NaN and signed zeros inside the grid.  Every bit is
+    the same except a NaN's sign and payload, which numpy does not fix
+    when two NaNs meet in one addition."""
+    A, _ = scalar_cases(shape)[name]
+    block = StencilBlock(A.indptr, A.indices, A.data, shape, box)
+    spelled = as_array_planes(block)
+    x = _vector(A.ncols, seed=5)
+    x[::7] = -0.0
+    x[3::11] = np.inf
+    x[5::13] = np.nan
+    with np.errstate(invalid="ignore"):
+        for v in (x, _vector(A.ncols, seed=6)):
+            pad = padded(v, shape, box)
+            got, want = block.matvec(pad), spelled.matvec(pad)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+            if np.isfinite(v).all() and np.isfinite(A.data).all():
+                want = loop_stencil(A, shape, box, v)
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_constant_planes_stay_arrays(bad):
+    """``inf * 0`` is NaN: held as a float, a non-finite constant would
+    poison every row whose neighbour is off the grid."""
+    shape, box = (5, 4, 3), ((0, 5), (0, 4), (0, 3))
+    A = with_plane(stencil27(*shape), shape, (1, 0, 0),
+                   lambda r: np.full(r.size, bad))
+    block = StencilBlock(A.indptr, A.indices, A.data, shape, box)
+    assert isinstance(block.planes[_plane_index((1, 0, 0))], np.ndarray)
+    x = _vector(A.ncols, seed=2)
+    with np.errstate(invalid="ignore"):
+        got = block.matvec(padded(x, shape, box))
+    # the top layer has no neighbour above: its rows stay finite
+    assert np.isfinite(got.reshape(3, 4, 5)[-1]).all()
+    with np.errstate(invalid="ignore"):
+        want = loop_stencil(A, shape, box, x)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+
+def off_grid(block) -> np.ndarray:
+    """The pad cells of ``block`` that lie outside its grid."""
+    (xlo, xhi), (ylo, yhi), (zlo, zhi) = block._box
+    nx, ny, nz = block._grid
+    z, y, x = np.ix_(np.arange(zlo - 1, zhi + 1), np.arange(ylo - 1, yhi + 1),
+                     np.arange(xlo - 1, xhi + 1))
+    return ((z < 0) | (z >= nz)) | ((y < 0) | (y >= ny)) | ((x < 0) | (x >= nx))
+
+
+@pytest.fixture
+def ring_watch(monkeypatch):
+    """Every ``StencilBlock.matvec`` call checks its pad holds zeros
+    outside the grid; returns the list of blocks seen."""
+    seen = []
+    inner = StencilBlock.matvec
+
+    def matvec(self, pad):
+        assert pad.shape == tuple(s + 2 for s in self.shape)
+        ring = pad[off_grid(self)]
+        assert not ring.any(), "a pad cell outside the grid is not zero"
+        seen.append(self)
+        return inner(self, pad)
+
+    monkeypatch.setattr(StencilBlock, "matvec", matvec)
+    return seen
+
+
+@pytest.mark.parametrize("precond", ["none", "jacobi", "mg"])
+@pytest.mark.parametrize("nprocs", [1, 2, 8])
+def test_no_pad_cell_outside_the_grid_is_ever_written(ring_watch, precond,
+                                                      nprocs):
+    """The subcube operator's pads (halo and replicated rings) and the
+    multigrid levels' residual pads, through whole solves."""
+    from repro.hpcg import hpcg_solve
+    from repro.hpf.distribution import Grid3DBlock
+
+    shape = (8, 8, 12)
+    res = hpcg_solve(shape, nprocs=nprocs, precond=precond, maxiter=4)
+    assert res.iterations >= 1
+    grids = {block._grid for block in ring_watch}
+    assert shape in grids
+    if precond == "mg":
+        assert (4, 4, 6) in grids  # a coarse level's residual
+    layout = Grid3DBlock(shape, nprocs)
+    ranks = {layout.local_box(r) for r in range(nprocs)}
+    assert ranks <= {block._box for block in ring_watch}

@@ -156,6 +156,14 @@ def reference_vcycle(mg, matrices, lvl, r):
     return x
 
 
+def varying_stencil(shape, seed=0):
+    """stencil27 with every coefficient scaled by its own factor in
+    [0.5, 1.5): the same pattern, no plane constant."""
+    A = stencil27(*shape)
+    scale = np.random.default_rng(seed).uniform(0.5, 1.5, A.nnz)
+    return CSRMatrix(A.indptr, A.indices, A.data * scale, shape=A.shape)
+
+
 def wide_range(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
@@ -190,14 +198,26 @@ class TestStencilPlaneVCycle:
 class TestReadOnlyRebuild:
     """A warm-pool rank rebuilds the pickled program over read-only views."""
 
-    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 12)])
-    def test_rebuilt_over_read_only_buffers_applies_bitwise(self, shape):
-        mg = MultigridPreconditioner(stencil27(*shape), shape)
+    @staticmethod
+    def check(fine, shape, arrays):
+        mg = MultigridPreconditioner(fine, shape)
         clone = rebuild_read_only(mg)
-        assert not clone.levels[0].op.planes.flags.writeable
+        held = [p for p in clone.levels[0].op.planes
+                if isinstance(p, np.ndarray)]
+        assert len(held) == arrays
+        assert not any(plane.flags.writeable for plane in held)
         for seed in range(2):
             r = wide_range(int(np.prod(shape)), seed)
             assert clone.solve(r).tobytes() == mg.solve(r).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 12)])
+    def test_rebuilt_over_read_only_buffers_applies_bitwise(self, shape):
+        """Varying coefficients: the fine level holds 27 array planes."""
+        self.check(varying_stencil(shape), shape, arrays=27)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 12)])
+    def test_constant_planes_rebuilt_over_read_only_buffers(self, shape):
+        self.check(stencil27(*shape), shape, arrays=0)
 
     def test_read_only_residual_is_left_alone(self, mg, fine):
         r = wide_range(fine.nrows, 5)
@@ -228,3 +248,83 @@ class TestBadMatrix:
         monkeypatch.setattr(SimulatedBackend, "run", run)
         with pytest.raises(ValueError, match=self.MESSAGE):
             hpcg_solve(8, precond="mg", matrix=bad)
+
+
+class TestSlicedFromTheFineLevel:
+    """With ``mg`` a rank's block is a sub-box of the V-cycle's fine level:
+    bitwise the block a fresh cut of the CSR builds, floats and arrays."""
+
+    @staticmethod
+    def assert_same_block(got, want):
+        assert got.shape == want.shape
+        assert got.nnz == want.nnz
+        for k, (g, w) in enumerate(zip(got.planes, want.planes)):
+            assert type(g) is type(w), k
+            if isinstance(w, float):
+                assert np.float64(g).tobytes() == np.float64(w).tobytes(), k
+            else:
+                assert g.dtype == w.dtype and g.shape == w.shape, k
+                assert g.tobytes() == w.tobytes(), k
+
+    def check(self, program, layout):
+        from repro.backend.kernel import Collectives
+        from repro.hpcg.program import SubcubeOperator
+        from repro.sparse.kernels import StencilBlock
+
+        size = layout.nprocs
+        for rank in range(size):
+            op = SubcubeOperator(program, layout, rank,
+                                 Collectives(rank, size))
+            want = StencilBlock(program.indptr, program.indices,
+                                program.data, program.shape,
+                                layout.local_box(rank))
+            self.assert_same_block(op.block, want)
+            assert op.flops == 2.0 * want.nnz
+
+    @pytest.mark.parametrize("varying", [False, True],
+                             ids=["constant", "varying"])
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 12)])
+    @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])
+    def test_every_rank_block_is_a_fresh_cut(self, nprocs, shape, varying):
+        from repro.hpcg.program import HPCGRankProgram
+        from repro.hpf.distribution import Grid3DBlock
+
+        A = varying_stencil(shape) if varying else stencil27(*shape)
+        program = HPCGRankProgram(A, np.ones(A.nrows), shape, precond="mg")
+        self.check(program, Grid3DBlock(shape, nprocs))
+
+    @pytest.mark.parametrize("varying", [False, True],
+                             ids=["constant", "varying"])
+    def test_the_layout_after_a_shrink(self, varying):
+        """Three survivors over ``nz = 2``: ``(1, 1, 3)``, one box empty
+        and two a single layer, whose planes reaching off the grid in z
+        hold no cell."""
+        from repro.hpcg.program import ResilientHPCGProgram
+
+        shape = (16, 16, 2)
+        A = varying_stencil(shape, seed=3) if varying else stencil27(*shape)
+        program = ResilientHPCGProgram(A, np.ones(A.nrows), shape,
+                                       precond="mg")
+        program.layout = program.default_layout(3)
+        assert program.layout.grid == (1, 1, 3)
+        self.check(program, program._layout_at(3))
+
+    @pytest.mark.parametrize("reproducible", [False, True])
+    def test_resilient_abft_reliable_run_is_the_plain_run(self,
+                                                         reproducible):
+        from repro.core.resilience import ResilienceConfig
+        from repro.machine.reliable import ReliableConfig
+
+        kw = dict(nprocs=4, precond="mg", reproducible=reproducible,
+                  criterion=StoppingCriterion(rtol=1e-10, atol=0.0))
+        plain = hpcg_solve((16, 8, 12), **kw)
+        guarded = hpcg_solve(
+            (16, 8, 12), abft=True, resilience=ResilienceConfig(
+                checkpoint_interval=3, sanity_interval=3,
+                reliable=ReliableConfig(base_timeout=0.05, max_retries=8)),
+            **kw)
+        assert plain.converged and guarded.converged
+        assert guarded.extras["hpcg"]["abft"] is True
+        assert guarded.extras["resilience"]["rollbacks"] == 0
+        assert guarded.x.tobytes() == plain.x.tobytes()
+        assert guarded.iterations == plain.iterations

@@ -15,7 +15,9 @@ from repro.core import (
 from repro.hpcg import MultigridPreconditioner, hpcg_solve
 from repro.sparse import (
     COOMatrix,
+    CSRMatrix,
     nas_cg_style,
+    poisson1d,
     poisson2d,
     rhs_for_solution,
     stencil27,
@@ -151,6 +153,154 @@ class TestSSORSweepParity:
         m = COOMatrix([0, 1], [1, 0], [1.0, 1.0], shape=(2, 2))
         with pytest.raises(ValueError, match="diagonal"):
             SSORPreconditioner(m)
+
+
+def _scipy_sweep_operands(T, lower, invdiag):
+    """The ``gstrs`` operands as scipy builds them for a CSR ``T`` (oracle)."""
+    import scipy.sparse as sp
+
+    n = T.shape[0]
+    A = (T @ sp.diags_array(invdiag)).T
+    A.sum_duplicates()
+    if lower:
+        L, U = sp.eye_array(n, format="csc"), A
+        U.setdiag(0)
+    else:
+        L, U = A, sp.csc_array((n, n))
+    return tuple(
+        x for M in (L, U) for x in (
+            n, M.nnz, M.data,
+            M.indices.astype(np.intc), M.indptr.astype(np.intc),
+        )
+    )
+
+
+def _scipy_ssor_state(matrix, omega):
+    """What an SSOR instance holds, built through ``scipy.sparse`` (oracle)."""
+    import scipy.sparse as sp
+
+    A = matrix.to_scipy().tocsr()
+    d = A.diagonal()
+    D = sp.diags(d)
+    lower = (D / omega + sp.tril(A, k=-1)).tocsr()
+    upper = (D / omega + sp.triu(A, k=1)).tocsr()
+    invdiag = 1.0 / lower.diagonal()
+    return {
+        "_invdiag": invdiag,
+        "_forward": _scipy_sweep_operands(lower, True, invdiag),
+        "_backward": _scipy_sweep_operands(upper, False, invdiag),
+        "_d_scale": d * ((2.0 - omega) / omega),
+        "_nnz": A.nnz,
+        "_n": A.shape[0],
+    }
+
+
+def _same(got, want):
+    """Equal type, and for arrays equal dtype, shape and bytes."""
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(_same(g, w) for g, w in zip(got, want)))
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and got.shape == want.shape
+                and got.tobytes() == want.tobytes())
+    return type(got) is type(want) and got == want
+
+
+def _tril_spd(n, seed):
+    """A small SPD-ish CSR with random pattern, for perturbing below."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, 4 * n)
+    cols = rng.integers(0, n, 4 * n)
+    vals = rng.standard_normal(4 * n)
+    sym = COOMatrix(np.concatenate((rows, cols, np.arange(n))),
+                    np.concatenate((cols, rows, np.arange(n))),
+                    np.concatenate((vals, vals, np.full(n, 20.0))),
+                    shape=(n, n))
+    return sym.to_csr()
+
+
+def _with_entries(A, extra):
+    """``A``'s entries plus ``(row, col, value)`` triples, each appended at
+    the end of its row: unsorted, and a duplicate where the cell is held."""
+    rows = list(A.expanded_rows())
+    cols, data = list(A.indices), list(A.data)
+    for r, c, v in extra:
+        at = int(A.indptr[r + 1]) + sum(1 for rr, _, _ in extra if rr < r)
+        rows.insert(at, r)
+        cols.insert(at, c)
+        data.insert(at, v)
+    rows = np.array(rows)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                        minlength=A.nrows))))
+    return CSRMatrix(indptr, np.array(cols), np.array(data), shape=A.shape)
+
+
+def _corpus():
+    yield "stencil27-6", stencil27(6)
+    yield "stencil27-5x4x3", stencil27(5, 4, 3)
+    yield "nas_cg_style-300", nas_cg_style(300, seed=2)
+    yield "poisson1d-50", poisson1d(50)
+    A = _tril_spd(40, seed=1)
+    z = A.data.copy()
+    off = A.expanded_rows() != A.indices
+    z[np.flatnonzero(off)[::5]] = 0.0
+    z[np.flatnonzero(off)[1::5]] = -0.0
+    yield "explicit-zeros", CSRMatrix(A.indptr, A.indices, z, shape=A.shape)
+    u = A.data.copy()
+    # products with 1/d underflow to zero (or to subnormals) in the sweeps
+    u[np.flatnonzero(off)[2::6]] = 5e-324
+    u[np.flatnonzero(off)[3::6]] = -5e-324
+    u[np.flatnonzero(off)[4::6]] = -3e-308
+    yield "underflow", CSRMatrix(A.indptr, A.indices, u, shape=A.shape)
+    yield "unsorted-duplicates", _with_entries(A, [
+        (0, 0, 1.5), (3, 1, -0.25), (3, 1, 1e-17), (7, 30, 0.0),
+        (9, 2, -0.0), (12, 12, -2.0), (39, 0, 3.0)])
+    rows = A.expanded_rows()
+    rng = np.random.default_rng(4)
+    order = rng.permutation(A.nnz)
+    yield "unsorted-coo", COOMatrix(
+        np.concatenate((rows[order], [5, 5])),
+        np.concatenate((A.indices[order], [6, 6])),
+        np.concatenate((A.data[order], [0.5, -0.5])),
+        shape=A.shape, sum_duplicates=False)
+
+
+CORPUS = list(_corpus())
+
+
+class TestSSOROperandParity:
+    """The numpy-built sweep operands equal scipy's, dtype and bytes."""
+
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("name,matrix", CORPUS,
+                             ids=[name for name, _ in CORPUS])
+    def test_operands_equal_the_scipy_build(self, name, matrix, omega):
+        got = SSORPreconditioner(matrix, omega=omega)
+        want = _scipy_ssor_state(matrix, omega)
+        for attr, value in want.items():
+            assert _same(getattr(got, attr), value), attr
+        r = np.random.default_rng(9).standard_normal(matrix.nrows)
+        np.testing.assert_array_equal(
+            got.solve(r).view(np.int64),
+            _spsolve_ssor(matrix, r, omega).view(np.int64))
+
+    def test_corpus_holds_the_awkward_entries(self):
+        kinds = dict(CORPUS)
+        data = kinds["explicit-zeros"].data
+        assert (data == 0).any() and np.signbit(data[data == 0]).any()
+        # some products with 1/d vanish: the sweeps drop those entries
+        under = kinds["underflow"]
+        lower = np.count_nonzero(under.indices < under.expanded_rows())
+        assert SSORPreconditioner(under)._forward[6] < lower + under.nrows
+        dup = kinds["unsorted-duplicates"]
+        key = dup.expanded_rows() * dup.ncols + dup.indices
+        assert (np.diff(key) < 0).any() and (np.diff(key) == 0).any()
+
+    def test_a_diagonal_zero_after_duplicates_sum_is_rejected(self):
+        A = _with_entries(stencil27(3), [(4, 4, -26.0)])
+        with pytest.raises(ValueError, match="zero-free diagonal"):
+            SSORPreconditioner(A)
 
 
 class TestNoPreparationPerApply:
