@@ -93,19 +93,6 @@ def _inside(shape, box, offset) -> tuple:
         for (lo, hi), dim, d in zip(reversed(box), reversed(shape), offset))
 
 
-def _held(plane: np.ndarray, inside: tuple):
-    """``plane`` as one float ``c`` when ``c`` is finite and every cell in
-    ``inside`` holds exactly ``c``'s bits (``0.0`` when none does), else a
-    copy of it."""
-    cells = plane[inside]
-    if cells.size == 0:
-        return 0.0
-    bits = cells.view(np.uint64)
-    if np.isfinite(cells.flat[0]) and (bits == bits.flat[0]).all():
-        return float(cells.flat[0])
-    return plane.copy()
-
-
 class StencilBlock:
     """A 27-point operator on one box of an ``nx x ny x nz`` grid.
 
@@ -116,11 +103,12 @@ class StencilBlock:
     held as one Python float ``c`` when ``c`` is finite and every cell
     whose neighbour lies inside the grid holds exactly ``c``'s bits -- so a
     constant-coefficient stencil holds 27 floats -- and otherwise as an
-    ``(lz, ly, lx)`` array of 8 bytes per point.  Either way it is a copy,
-    not a view, so a handle does not see later in-place updates of
-    ``data``.  An entry outside a row's 27-neighbourhood, or two entries at
-    one offset, raises ``ValueError`` naming the row and column: nothing is
-    ever dropped.
+    array in the pad's layout: the box's cells from the first to the last,
+    with 0 in the ring cells between them, ``lz*(ly+2)*(lx+2) - 2*lx - 6``
+    cells of 8 bytes.  Either way it is a copy, not a view, so a handle
+    does not see later in-place updates of ``data``.  An entry outside a
+    row's 27-neighbourhood, or two entries at one offset, raises
+    ``ValueError`` naming the row and column: nothing is ever dropped.
 
     ``matvec(pad)`` takes the operand on the box grown by one cell per face,
     ``(lz+2, ly+2, lx+2)``, and sums ``planes[k] * pad[shifted by k]`` for
@@ -194,22 +182,17 @@ class StencilBlock:
             buf[slot] = data[offs]
             lo = (z0 - zlo) * layer
             flat[:, lo:lo + rows.size] = buf.reshape(-1, 27).T
-        self.planes = [_held(plane, inside)
+        self.planes = [self._held(plane, inside)
                        for plane, inside in zip(planes, self._inside())]
         self.nnz = nnz
 
     def _frame(self, shape, box) -> None:
-        """The grid, the box, its scratch and the operand each plane
-        multiplies, as a 3-D view and as a start in the flattened pad."""
+        """The grid, the box, its scratch and where each plane's operand
+        starts in the flattened pad."""
         self._grid = shape
         self._box = tuple((int(lo), int(hi)) for lo, hi in box)
         (xlo, xhi), (ylo, yhi), (zlo, zhi) = self._box
         self.shape = lz, ly, lx = (zhi - zlo, yhi - ylo, xhi - xlo)
-        self._views = [
-            (slice(1 + dz, 1 + dz + lz), slice(1 + dy, 1 + dy + ly),
-             slice(1 + dx, 1 + dx + lx))
-            for dz, dy, dx in _OFFSETS
-        ]
         # flattened pad: the box's cells from first to last, ring columns
         # between them included, are one slice of ``_span`` per plane
         layer, row = (ly + 2) * (lx + 2), lx + 2
@@ -218,6 +201,29 @@ class StencilBlock:
         self._starts = [(1 + dz) * layer + (1 + dy) * row + 1 + dx
                         for dz, dy, dx in _OFFSETS]
         self._scratch = np.empty(self._span)
+
+    def _held(self, plane: np.ndarray, inside: tuple):
+        """``plane`` (``(lz, ly, lx)``) as one float ``c`` when ``c`` is
+        finite and every cell in ``inside`` holds exactly ``c``'s bits
+        (``0.0`` when none does), else a copy in the pad's layout."""
+        cells = plane[inside]
+        if cells.size == 0:
+            return 0.0
+        bits = cells.view(np.uint64)
+        if np.isfinite(cells.flat[0]) and (bits == bits.flat[0]).all():
+            return float(cells.flat[0])
+        lz, ly, lx = self.shape
+        out = np.zeros((lz, ly + 2, lx + 2))
+        out[:, :ly, :lx] = plane
+        return out.reshape(-1)[:self._span].copy()
+
+    def _cells(self, plane: np.ndarray) -> np.ndarray:
+        """An array plane's ``(lz, ly, lx)`` box cells, out of the pad's
+        layout."""
+        lz, ly, lx = self.shape
+        out = np.zeros(lz * (ly + 2) * (lx + 2))
+        out[:self._span] = plane
+        return out.reshape(lz, ly + 2, lx + 2)[:, :ly, :lx]
 
     def _inside(self):
         """Per plane, the local cells whose neighbour is inside the grid."""
@@ -243,7 +249,8 @@ class StencilBlock:
                 empty = any(s.start >= s.stop for s in inside)
                 out.planes.append(0.0 if empty else plane)
             else:
-                out.planes.append(_held(plane[window], inside))
+                out.planes.append(
+                    out._held(self._cells(plane)[window], inside))
         out.nnz = int(nnz)
         return out
 
@@ -259,25 +266,17 @@ class StencilBlock:
     def matvec(self, pad: np.ndarray) -> np.ndarray:
         """``y = sum_k planes[k] * pad[view k]`` in plane order, flattened.
 
-        ``y`` lives in the pad's own layout, so a float plane is one
-        contiguous multiply and add over ``_span`` cells of the flattened
-        pad; the sums it also forms in the ring columns are dropped.  An
-        array plane runs over the 3-D views.  Either way each box cell
-        gets the same additions in the same order.
+        ``y`` and every array plane live in the pad's own layout, so each
+        plane is one contiguous multiply and add over ``_span`` cells of
+        the flattened pad, from its neighbour's start; the sums this also
+        forms in the ring columns are dropped.
         """
         lz, ly, lx = self.shape
         y = np.zeros((lz, ly + 2, lx + 2))
-        box = y[:, :ly, :lx]
         span = self._span
         flat, ys = pad.reshape(-1), y.reshape(-1)[:span]
         scratch = self._scratch
-        for plane, view, start in zip(self.planes, self._views,
-                                      self._starts):
-            if isinstance(plane, float):
-                np.multiply(plane, flat[start:start + span], out=scratch)
-                np.add(ys, scratch, out=ys)
-            else:
-                cells = scratch[:box.size].reshape(self.shape)
-                np.multiply(plane, pad[view], out=cells)
-                np.add(box, cells, out=box)
-        return box.reshape(-1)
+        for plane, start in zip(self.planes, self._starts):
+            np.multiply(plane, flat[start:start + span], out=scratch)
+            np.add(ys, scratch, out=ys)
+        return y[:, :ly, :lx].reshape(-1)

@@ -364,7 +364,9 @@ def _holds_a_copy_and_returns_a_fresh_vector(A, arrays):
     held = [p for p in block.planes if isinstance(p, np.ndarray)]
     assert len(held) == arrays
     for plane in held:
-        assert plane.shape == (2, 3, 4)
+        # the box's cells in the pad's (2, 3+2, 2+4) row layout, from the
+        # first to the last
+        assert plane.shape == (1 * 5 * 6 + 2 * 6 + 4,)
         assert not np.shares_memory(plane, A.data)
     pad = padded(np.ones(A.nrows), (4, 3, 2), box)
     first = block.matvec(pad)
@@ -462,14 +464,15 @@ def test_constant_stencil_block_rebuilt_over_read_only_buffers_applies():
 def as_array_planes(block):
     """A copy of ``block`` with every float plane spelled out as the array
     a plane-per-cell build holds: ``c`` where the neighbour is inside the
-    grid, 0 where it is not."""
+    grid, 0 where it is not, in the pad's layout."""
+    lz, ly, lx = block.shape
     out = pickle.loads(pickle.dumps(block))
     out.planes = []
     for plane, inside in zip(block.planes, block._inside()):
         if isinstance(plane, float):
-            full = np.zeros(block.shape)
-            full[inside] = plane
-            plane = full
+            full = np.zeros((lz, ly + 2, lx + 2))
+            full[:, :ly, :lx][inside] = plane
+            plane = full.reshape(-1)[:block._span]
         out.planes.append(plane)
     return out
 

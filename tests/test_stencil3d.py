@@ -218,11 +218,11 @@ class TestSubcubeOperator:
 
     SHAPE = (16, 16, 16)
 
-    def _ops(self, nprocs):
+    def _ops(self, nprocs, a=None):
         from repro.backend.kernel import Collectives
         from repro.hpcg.program import HPCGRankProgram, SubcubeOperator
 
-        a = stencil27(*self.SHAPE)
+        a = stencil27(*self.SHAPE) if a is None else a
         program = HPCGRankProgram(a, np.ones(a.nrows), self.SHAPE,
                                   precond="jacobi")
         layout = Grid3DBlock(self.SHAPE, nprocs)
@@ -246,6 +246,27 @@ class TestSubcubeOperator:
             assert volume <= self._held(whole) / 8
             # the pad and the halo maps are the subcube's shell
             assert maps <= 4 * op.pad.nbytes
+
+    def test_array_planes_scale_with_the_subcube(self):
+        """Varying coefficients: each rank holds 27 array planes of its own
+        box in its pad's row layout (two ring cells a row, none past the
+        box's last cell), and the rest as with constant planes."""
+        from .test_multigrid import varying_stencil
+
+        a = varying_stencil(self.SHAPE)
+        _, (whole,) = self._ops(1)
+        _, ops = self._ops(8, a)
+        for op in ops:
+            lz, ly, lx = op.block.shape
+            planes = [p for p in op.block.planes if isinstance(p, np.ndarray)]
+            assert len(planes) == 27
+            for plane in planes:
+                assert plane.size == lz * (ly + 2) * (lx + 2) - 2 * lx - 6
+            maps = sum(_held_arrays(
+                [op.plan, op.send_lpos, op.recv_pos], {}).values())
+            rest = (self._held(op) - op.pad.nbytes - maps
+                    - sum(plane.nbytes for plane in planes))
+            assert rest <= self._held(whole) / 8
 
     def test_halo_apply_allocates_no_n_long_array(self):
         import tracemalloc
